@@ -1,7 +1,6 @@
 """Small shared linear-algebra helpers."""
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def sym(matrix):
@@ -16,18 +15,3 @@ def frob(matrix):
 def symplectic_defect(matrix, J):
     """Frobenius norm of kappa^T J kappa - J (transpose, no conjugation)."""
     return frob(matrix.T @ J @ matrix - J)
-
-
-def multiset_defect(a, b):
-    """Max pairing distance between two equal-length eigenvalue multisets.
-
-    Sorting complex arrays mispairs eigenvalues whose real parts agree to
-    rounding, so pair by minimum-cost assignment instead.
-    """
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError("multisets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max()) if len(a) else 0.0

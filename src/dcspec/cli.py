@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 schema/precondition problems, 3 numerical
 failures, 4 degenerate Hamilton spectra.  Errors are emitted on stderr as
 single-line JSON objects so harnesses can assert on reasons rather than
 message text.  All outputs are byte-deterministic for a fixed command
-line and seed; CSV floats carry 17 significant digits.
+line, seed and BLAS thread count; CSV floats carry 17 significant digits.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from . import bundled_symbol_path
 from .errors import (
     DcspecError,
     DegenerateSpectrumError,
+    DomainError,
     NumericalFailureError,
     SymbolSchemaError,
     PreconditionError,
@@ -360,45 +361,27 @@ def _cmd_deform(args):
 def _cmd_phase(args):
     if (args.kappa is None) == (args.phi is None):
         raise SymbolSchemaError("provide exactly one of --kappa or --phi")
-    if args.kappa:
-        dim, blocks = _load_block_doc(args.kappa, ("A", "B", "C", "D"))
-        bmap = BlockCanonicalMap(blocks["A"], blocks["B"], blocks["C"], blocks["D"])
+    if args.kappa is not None:
+        dim, b = _load_block_doc(args.kappa, ("A", "B", "C", "D"))
+        bmap = BlockCanonicalMap(b["A"], b["B"], b["C"], b["D"])
         phase = phase_of_kappa(bmap)
-        defects = canonicity_conditions(bmap)
-        weight = phi_weight(phase)
-        _emit_json(
-            {
-                "dim": dim,
-                "phase": {
-                    "xx": _matrix_to_json(phase.xx),
-                    "xy": _matrix_to_json(phase.xy),
-                    "yy": _matrix_to_json(phase.yy),
-                },
-                "canonicity_defects": [defects.c1, defects.c2, defects.c3],
-                "symplectic_defect": bmap.symplectic_defect,
-                "levi_eigenvalues": [float(v) for v in np.linalg.eigvalsh(weight.levi)],
-            }
-        )
+        key, blocks = "phase", {"xx": phase.xx, "xy": phase.xy, "yy": phase.yy}
     else:
-        dim, blocks = _load_block_doc(args.phi, ("xx", "xy", "yy"))
-        phase = FbiPhase(dim, blocks["xx"], blocks["xy"], blocks["yy"])
+        dim, b = _load_block_doc(args.phi, ("xx", "xy", "yy"))
+        phase = FbiPhase(dim, b["xx"], b["xy"], b["yy"])
         bmap = kappa_of_phase(phase)
-        defects = canonicity_conditions(bmap)
-        weight = phi_weight(phase)
-        _emit_json(
-            {
-                "dim": dim,
-                "kappa": {
-                    "A": _matrix_to_json(bmap.A),
-                    "B": _matrix_to_json(bmap.B),
-                    "C": _matrix_to_json(bmap.C),
-                    "D": _matrix_to_json(bmap.D),
-                },
-                "canonicity_defects": [defects.c1, defects.c2, defects.c3],
-                "symplectic_defect": bmap.symplectic_defect,
-                "levi_eigenvalues": [float(v) for v in np.linalg.eigvalsh(weight.levi)],
-            }
-        )
+        key, blocks = "kappa", {"A": bmap.A, "B": bmap.B, "C": bmap.C, "D": bmap.D}
+    defects = canonicity_conditions(bmap)
+    weight = phi_weight(phase)
+    _emit_json(
+        {
+            "dim": dim,
+            key: {name: _matrix_to_json(M) for name, M in blocks.items()},
+            "canonicity_defects": [defects.c1, defects.c2, defects.c3],
+            "symplectic_defect": bmap.symplectic_defect,
+            "levi_eigenvalues": [float(v) for v in np.linalg.eigvalsh(weight.levi)],
+        }
+    )
     return 0
 
 
@@ -412,8 +395,19 @@ def _parse_floats(text, count, flag):
         raise SymbolSchemaError(f"{flag}: {exc}") from exc
 
 
+def _coarse_degree(N):
+    """Truncation degree of the two-level convergence report, strictly below N.
+
+    Ten levels below N, but not under 4 unless N itself is at most 4.
+    """
+    if N < 1:
+        raise DomainError(f"--N must be >= 1 to have a coarser level, got {N}")
+    return max(min(4, N - 1), N - 10)
+
+
 def _cmd_pseudospectrum(args):
     q = parse_symbol_spec(args.symbol)
+    coarse_n = _coarse_degree(args.N)
     window = _parse_floats(args.window, 4, "--window")
     n_re, n_im = (int(v) for v in _parse_floats(args.res, 2, "--res"))
     op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
@@ -427,7 +421,6 @@ def _cmd_pseudospectrum(args):
     if args.svg:
         with open(args.svg, "w") as f:
             f.write(export_svg(rows, "heat"))
-    coarse_n = max(4, args.N - 10)
     op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
     _, _, grid2 = pseudospectrum_grid(op2, window, (n_re, n_im))
     both = np.isfinite(grid) & np.isfinite(grid2)
@@ -447,9 +440,9 @@ def _cmd_resolvent(args):
     q = parse_symbol_spec(args.symbol)
     zre, zim = _parse_floats(args.z, 2, "--z")
     z = complex(zre, zim)
+    coarse_n = _coarse_degree(args.N)
     op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
     norm = resolvent_norm(op, z)
-    coarse_n = max(4, args.N - 10)
     op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
     norm2 = resolvent_norm(op2, z)
     finite = math.isfinite(norm)

@@ -4,6 +4,9 @@ The singular space collects the real phase-space directions on which the
 real part of the form stays degenerate along the entire flow of the
 imaginary part; it is computed from the stacked iterated products
 Re F (Im F)^k, k = 0..2d-1, which suffice by Cayley-Hamilton.
+
+Flow averages of the real part are computed in closed form from one
+matrix exponential (Van Loan, IEEE TAC 23, 1978), with no quadrature.
 """
 
 import math
@@ -13,7 +16,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import sym, frob
-from ._quadrature import integrate_matrix, DEFAULT_NODES
 from .errors import PreconditionError
 from .symplectic import hamilton_map, phase_point
 
@@ -102,23 +104,41 @@ def singular_space(fmap, tolerance=DEFAULT_KERNEL_TOL):
     return RealSubspace(n, basis, tolerance)
 
 
-def averaged_real_part(q, T=1.0, nodes=DEFAULT_NODES):
-    """(1/T) int_0^T M(t)^T Re A M(t) dt with M(t) = exp(2t Im F).
+def _flow_integrals(q, T):
+    """int_0^T Phi dt and int_0^T (1 - t/T) Phi dt, Phi(t) = M(t)^T Re A M(t).
 
-    The factor 2 is the ratio between the flow generator of the imaginary
-    part and its Hamilton matrix.
+    M(t) = exp(t H) with H = 2 Im F, so Phi solves the linear flow
+    Phi' = H^T Phi + Phi H with generator K = H^T (+) H^T (Kronecker sum)
+    on vec Phi.  Appending two integrator states to K gives the block
+    matrix C = [[K, vec Re A, 0], [0, 0, 1], [0, 0, 0]]; columns m and
+    m + 1 of exp(T C), m = (2d)^2, hold int_0^T Phi and
+    int_0^T (T - t) Phi exactly, up to the rounding of one expm.
     """
     if T <= 0:
         raise ValueError("averaging time T must be positive")
-    ReA = q.matrix.real
-    ImF = hamilton_map(q).imag
+    H = 2.0 * hamilton_map(q).imag
+    n = H.shape[0]
+    m = n * n
+    I = np.eye(n)
+    C = np.zeros((m + 2, m + 2))
+    C[:m, :m] = np.kron(H.T, I) + np.kron(I, H.T)
+    C[:m, m] = q.matrix.real.ravel()
+    C[m, m + 1] = 1.0
+    E = sla.expm(T * C)
+    total = E[:m, m].reshape(n, n)
+    ramp = E[:m, m + 1].reshape(n, n) / T
+    return sym(total), sym(ramp)
 
-    def integrand(t):
-        M = sla.expm(2.0 * t * ImF)
-        return M.T @ ReA @ M
 
-    acc = integrate_matrix(integrand, 0.0, T, nodes=nodes)
-    return AveragedForm(T, sym(acc) / T)
+def averaged_real_part(q, T=1.0):
+    """(1/T) int_0^T M(t)^T Re A M(t) dt with M(t) = exp(2t Im F).
+
+    The factor 2 is the ratio between the flow generator of the imaginary
+    part and its Hamilton matrix.  The integral is exact up to the rounding
+    of one matrix exponential (see :func:`_flow_integrals`).
+    """
+    total, _ = _flow_integrals(q, T)
+    return AveragedForm(T, total / T)
 
 
 def positivity_equivalence_check(q, T=1.0, tolerance=DEFAULT_KERNEL_TOL):

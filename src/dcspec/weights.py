@@ -14,9 +14,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import sym, frob, symplectic_defect
-from ._quadrature import integrate_matrix, DEFAULT_NODES
 from .errors import DeltaTooLargeError
-from .singular import averaged_real_part
+from .singular import _flow_integrals
 from .symplectic import hamilton_map, standard_j
 
 __all__ = [
@@ -37,8 +36,9 @@ def j_profile(t):
     """Triangular profile with distributional derivative delta_0 - 1_[-1,0].
 
     Integrating that derivative gives -(t+1) on [-1, 0) and 0 elsewhere;
-    the Dirac mass only produces the jump back to 0 at t = 0, so the
-    quadrature never needs to see it.
+    the Dirac mass only produces the jump back to 0 at t = 0.  On (0, T]
+    the ramp of :func:`weight_gq` is 1 - t/T = -j_profile(-t/T); the
+    closed form carries it as a second integrator state.
     """
     t = np.asarray(t, dtype=float)
     out = np.where((t >= -1.0) & (t < 0.0), -(t + 1.0), 0.0)
@@ -92,23 +92,16 @@ class CanonicalMap:
         return symplectic_defect(self.matrix, standard_j(self.dim))
 
 
-def weight_gq(q, T=1.0, nodes=DEFAULT_NODES):
+def weight_gq(q, T=1.0):
     """The averaging weight: G = int_0^T (1 - t/T) M(t)^T Re A M(t) dt.
 
     M(t) = exp(2 t Im F) is the flow of the imaginary part.  When Im q = 0
-    the flow is the identity and G reduces to (T/2) Re A.
+    the flow is the identity and G reduces to (T/2) Re A.  The integral is
+    exact up to the rounding of one matrix exponential (Van Loan's block
+    form, shared with :func:`averaged_real_part`).
     """
-    if T <= 0:
-        raise ValueError("averaging time T must be positive")
-    ReA = q.matrix.real
-    ImF = hamilton_map(q).imag
-
-    def integrand(t):
-        M = sla.expm(2.0 * t * ImF)
-        return (1.0 - t / T) * (M.T @ ReA @ M)
-
-    G = integrate_matrix(integrand, 0.0, T, nodes=nodes)
-    return QuadraticWeight(T, sym(G))
+    _, ramp = _flow_integrals(q, T)
+    return QuadraticWeight(T, ramp)
 
 
 def averaging_identity_defect(q, T=1.0):
@@ -116,14 +109,13 @@ def averaging_identity_defect(q, T=1.0):
 
     The derivative of the weight along the flow has form matrix
     sym(H^T G + G H) with H = 2 Im F; by integration by parts it equals
-    the averaged matrix minus Re A exactly, so this measures only
-    quadrature error.
+    the averaged matrix minus Re A exactly.  Both integrals come from the
+    same matrix exponential, so this measures its rounding error.
     """
-    w = weight_gq(q, T)
-    avg = averaged_real_part(q, T)
+    total, G = _flow_integrals(q, T)
     H = 2.0 * hamilton_map(q).imag
-    lhs = sym(H.T @ w.matrix + w.matrix @ H)
-    return frob(lhs - (avg.matrix - q.matrix.real))
+    lhs = sym(H.T @ G + G @ H)
+    return frob(lhs - (total / T - q.matrix.real))
 
 
 def deformed_symbol(q, weight, delta):

@@ -10,9 +10,7 @@ always be compared across two truncation levels.
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
@@ -195,14 +193,12 @@ def pseudospectrum_grid(op, window, resolution, dense_cutoff=DENSE_SVD_CUTOFF):
 
     ``window`` is (re0, re1, im0, im1) and ``resolution`` (n_re, n_im).
     Returns (re_axis, im_axis, L) with L[i_im, i_re]; infinity signals
-    propagate as +inf entries.  Rows are independent; DCSPEC_THREADS > 1
-    fans them out over a thread pool with deterministic ordering.
+    propagate as +inf entries.
     """
     re0, re1, im0, im1 = window
     n_re, n_im = resolution
     re_axis = np.linspace(re0, re1, n_re)
     im_axis = np.linspace(im0, im1, n_im)
-    threads = int(os.environ.get("DCSPEC_THREADS", "1") or "1")
 
     def row(im):
         out = []
@@ -211,12 +207,7 @@ def pseudospectrum_grid(op, window, resolution, dense_cutoff=DENSE_SVD_CUTOFF):
             out.append(math.log10(nrm) if math.isfinite(nrm) else math.inf)
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, im_axis))
-    else:
-        rows = [row(im) for im in im_axis]
-    return re_axis, im_axis, np.array(rows)
+    return re_axis, im_axis, np.array([row(im) for im in im_axis])
 
 
 def scaling_check(q, h, h2, degree, fraction=0.25):

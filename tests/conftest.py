@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
 from dcspec import build_quadratic_form, standard_j
 from dcspec._linalg import sym
@@ -68,6 +69,21 @@ def random_canonical_matrix(rng, dim, scale=0.4):
         + 1j * rng.standard_normal((2 * dim, 2 * dim))
     )
     return sla.expm(-scale * standard_j(dim) @ S)
+
+
+def multiset_defect(a, b):
+    """Max pairing distance between two equal-length eigenvalue multisets.
+
+    Sorting complex arrays mispairs eigenvalues whose real parts agree to
+    rounding, so pair by minimum-cost assignment instead.
+    """
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    if a.shape != b.shape:
+        raise ValueError("multisets must have equal size")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max()) if len(a) else 0.0
 
 
 def random_psd_real_form(rng, dim, rank=None):

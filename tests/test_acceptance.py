@@ -12,13 +12,14 @@ import time
 import numpy as np
 
 import dcspec as dc
-from dcspec._linalg import multiset_defect, sym
+from dcspec._linalg import sym
 from dcspec.cli import probe_theorem
 from conftest import (
     davies_form,
     family_form,
     harmonic_form,
     kfp_form,
+    multiset_defect,
     wedge_form,
 )
 

@@ -76,7 +76,7 @@ def test_cli_numerical_failure_exit_code(capsys, monkeypatch):
     from dcspec.errors import NumericalFailureError
 
     def boom(*args, **kwargs):
-        raise NumericalFailureError("quadrature blew its doubling budget")
+        raise NumericalFailureError("solver did not converge")
 
     monkeypatch.setattr(cli, "averaged_real_part", boom)
     assert run(["singular-space", "--symbol", "kfp.json"]) == 3
@@ -191,9 +191,12 @@ def test_cli_phase_roundtrip(tmp_path, capsys):
     f.write_text(json.dumps(phi))
     assert run(["phase", "--phi", str(f)]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"dim", "kappa", "canonicity_defects", "symplectic_defect",
+                        "levi_eigenvalues"}
     assert out["kappa"]["B"] == [[[0.0, -1.0]]]
     assert out["kappa"]["A"] == [[[1.0, 0.0]]]
     assert max(out["canonicity_defects"]) < 1e-12
+    assert out["symplectic_defect"] < 1e-12
     assert out["levi_eigenvalues"] == [0.25]
 
     kap = {"dim": 1, "A": [[[1.0, 0.0]]], "B": [[[0.0, -1.0]]],
@@ -202,7 +205,13 @@ def test_cli_phase_roundtrip(tmp_path, capsys):
     f2.write_text(json.dumps(kap))
     assert run(["phase", "--kappa", str(f2)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["phase"]["xy"] == [[[0.0, -1.0]]]
+    assert set(out) == {"dim", "phase", "canonicity_defects", "symplectic_defect",
+                        "levi_eigenvalues"}
+    assert out["phase"] == {"xx": I, "xy": [[[0.0, -1.0]]], "yy": I}
+    assert len(out["canonicity_defects"]) == 3
+    assert max(out["canonicity_defects"]) < 1e-12
+    assert out["symplectic_defect"] < 1e-12
+    assert out["levi_eigenvalues"] == [0.25]
 
 
 def test_cli_phase_singular_block(tmp_path, capsys):
@@ -228,6 +237,36 @@ def test_cli_resolvent(capsys):
     assert out["norm"] == pytest.approx(10.0, rel=1e-9)
     assert out["finite"] is True
     assert out["rel_change"] < 1e-9
+
+
+def test_cli_coarse_level_below_small_n(capsys):
+    argv = ["resolvent", "--symbol", "harmonic.json", "--h", "0.1", "--z", "0.3,0.2"]
+    assert run(argv + ["--N", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["N"], out["N_coarse"]) == (2, 1)
+    assert out["finite"] is True
+
+    for cmd in (argv, ["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1",
+                       "--window", "0,1,0,0", "--res", "2,1"]):
+        assert run(cmd + ["--N", "0"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DomainError"
+
+
+def test_cli_import_skips_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(dc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dcspec.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):

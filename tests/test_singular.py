@@ -180,15 +180,6 @@ def test_characterization_via_iterated_brackets():
             assert any(abs(v @ Pk @ v) > 1e-8 * scale for Pk in forms)
 
 
-def test_quadrature_failure_signal(rng):
-    # a non-smooth integrand exhausts the node-doubling budget
-    from dcspec._quadrature import integrate_matrix
-    from dcspec.errors import NumericalFailureError
-
-    with pytest.raises(NumericalFailureError):
-        integrate_matrix(lambda t: rng.standard_normal((2, 2)), 0.0, 1.0, nodes=2)
-
-
 def test_equivalence_randomized_family(rng):
     t0 = time.monotonic()
     disagreements = 0

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.integrate import quad_vec
 
 import dcspec as dc
-from dcspec._linalg import multiset_defect, sym
+from dcspec._linalg import sym
 from dcspec.errors import DeltaTooLargeError
-from conftest import family_form, kfp_form
+from conftest import family_form, kfp_form, multiset_defect, random_psd_real_form
 
 
 def test_j_profile_values():
@@ -46,6 +48,30 @@ def test_averaging_identity_random(rng):
         ImA = sym(rng.standard_normal((n, n)))
         q = dc.QuadraticForm(d, ReA + 1j * ImA)
         assert dc.averaging_identity_defect(q, T=1.0) <= 1e-8 * np.linalg.norm(q.matrix)
+
+
+@pytest.mark.parametrize("T", [0.5, 2.5])
+@pytest.mark.parametrize("corank", [0, 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flow_averages_match_quad_vec(d, corank, T):
+    # independent oracle: adaptive quadrature of the flow, expm at each node
+    rng = np.random.default_rng(100 * d + 10 * corank + int(2 * T))
+    for _ in range(3):
+        ReA = random_psd_real_form(rng, d, 2 * d - corank)
+        q = dc.QuadraticForm(d, ReA + 1j * sym(rng.standard_normal((2 * d, 2 * d))))
+        ImF = dc.hamilton_map(q).imag
+
+        def phi(t):
+            M = sla.expm(2.0 * t * ImF)
+            return M.T @ ReA @ M
+
+        total, _ = quad_vec(phi, 0.0, T, epsabs=1e-14, epsrel=1e-13)
+        ramp, _ = quad_vec(lambda t: (1.0 - t / T) * phi(t), 0.0, T,
+                           epsabs=1e-14, epsrel=1e-13)
+        avg = dc.averaged_real_part(q, T=T).matrix
+        G = dc.weight_gq(q, T=T).matrix
+        assert np.linalg.norm(avg - sym(total) / T) <= 1e-10 * np.linalg.norm(total / T)
+        assert np.linalg.norm(G - sym(ramp)) <= 1e-10 * np.linalg.norm(ramp)
 
 
 def test_deformed_symbol_at_zero(kfp):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import dcspec as dc
-from dcspec._linalg import multiset_defect
-from conftest import davies_form, harmonic_form, kfp_form
+from conftest import davies_form, harmonic_form, kfp_form, multiset_defect
 
 
 def ladder_matrices_1d(size, h):
@@ -209,14 +208,6 @@ def test_pseudospectrum_grid_infinity_sentinel(harmonic):
     # grid point exactly on an eigenvalue propagates +inf
     _, _, grid = dc.pseudospectrum_grid(op, (0.1, 0.3, 0.0, 0.0), (2, 1))
     assert np.isinf(grid).all()
-
-
-def test_pseudospectrum_grid_threads_match(harmonic, monkeypatch):
-    op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 15, 0.1))
-    _, _, base = dc.pseudospectrum_grid(op, (0.0, 0.5, -0.2, 0.2), (4, 4))
-    monkeypatch.setenv("DCSPEC_THREADS", "4")
-    _, _, threaded = dc.pseudospectrum_grid(op, (0.0, 0.5, -0.2, 0.2), (4, 4))
-    assert np.array_equal(base, threaded)
 
 
 def test_energy_cutoff_and_degree_suggestion():
