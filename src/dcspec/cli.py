@@ -307,13 +307,17 @@ def _cmd_region(args):
     )
     lim = region.outer_radius * 1.1
     axis = np.linspace(-lim, lim, args.res)
-    rows = []
-    for im in axis:
-        for re in axis:
-            verdict = admissible(region, spec, complex(re, im))
-            rows.append(
-                (float(re), float(im), verdict.admissible, verdict.dist, verdict.reason)
-            )
+    re, im = (g.ravel() for g in np.meshgrid(axis, axis))
+    verdict = admissible(region, spec, re + 1j * im)
+    rows = list(
+        zip(
+            re.tolist(),
+            im.tolist(),
+            verdict.admissible.tolist(),
+            verdict.dist.tolist(),
+            verdict.reason.tolist(),
+        )
+    )
     _write_csv(args.out, ["re", "im", "admissible", "dist", "reason"], rows)
     discs = exclusion_discs(region, spec)
     if args.svg:

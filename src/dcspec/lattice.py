@@ -6,9 +6,13 @@ where the lambda_j are the d Hamilton-matrix eigenvalues with positive
 imaginary part.  Writing mu_j = lambda_j / i, every lattice value is
 ``h * mu(k)`` with Re mu(k) > 0, which makes enumeration, strip counting
 and simplex-volume asymptotics elementary.
+
+Every lattice query goes through one numpy enumeration of the simplex
+sum_j (1 + 2 k_j) Re mu_j <= radius / h: point listing, strip counts,
+exclusion discs, and distances and admissibility verdicts for a whole
+array of spectral parameters at once.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +40,7 @@ __all__ = [
 REAL_EIGENVALUE_TOL = 1e-10
 DEDUP_RTOL = 1e-9
 MC_SAMPLES = 10**6
+_DIST_BLOCK = 64  # z values per |z - lattice| temporary in dist_to_spectrum
 
 
 @dataclass(frozen=True)
@@ -69,74 +74,154 @@ def stable_eigenvalues(fmap):
     return LatticeSpectrum(fmap.dim, lam, lam / 1j)
 
 
-def _mu_value(spec, k):
-    return complex(np.sum((1.0 + 2.0 * np.asarray(k)) * spec.mus))
+def _modulus(z):
+    """|z| through libm hypot, bit-identical to Python's abs(complex).
+
+    numpy's complex absolute value has its own kernel that differs in the
+    last bit for about a third of inputs, which would reorder ties in
+    modulus and move distances by an ulp against scalar arithmetic.
+    """
+    return np.hypot(z.real, z.imag)
 
 
-def _enumerate_k(spec, bound_fn):
-    """Yield all k with k_j <= bound_fn(j); bounds derive from Re mu_j > 0."""
-    ranges = [range(int(bound_fn(j)) + 1) for j in range(spec.dim)]
-    return itertools.product(*ranges)
+def _simplex_indices(remu, bound):
+    """Every k >= 0 with sum_j (1 + 2 k_j) remu_j <= bound, one row per k.
+
+    Rows are built one coordinate at a time from the slack the earlier
+    coordinates leave, in lexicographic order of k, so memory stays
+    proportional to the number of rows rather than to the enclosing k-box.
+    """
+    if not math.isfinite(bound):
+        raise ValueError("enumeration bound must be finite")
+    slack = np.array([bound - float(np.sum(remu))])
+    slack = slack[slack >= 0]
+    ks = np.zeros((slack.size, 0), dtype=np.int64)
+    for r in remu:
+        # rounding can leave a slack of -1 ulp where the exact one is 0
+        counts = np.floor(np.maximum(slack, 0.0) / (2.0 * r)).astype(np.int64) + 1
+        rows = np.repeat(np.arange(ks.shape[0]), counts)
+        kj = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ks = np.column_stack([ks[rows], kj])
+        slack = slack[rows] - 2.0 * r * kj
+    return ks
 
 
-def lattice_points(spec, h, radius):
-    """All lattice values h*mu(k) with modulus <= radius, with multiplicity.
+def _lattice_values(spec, h, radius):
+    """Every lattice value h*mu(k) with modulus <= radius, one per k.
 
-    Since |h mu(k)| >= h Re mu(k) >= 2 h k_j Re mu_j, the per-index bound
-    k_j <= radius / (2 h Re mu_j) makes the enumeration complete.  Values
-    are deduplicated at relative tolerance 1e-9 because rationally dependent
-    mu_j collide exactly in exact arithmetic but only nearly in floats.
+    Since |h mu(k)| >= h Re mu(k), the simplex Re mu(k) <= radius/h holds
+    every such k; a relative margin of 1e-9 on it covers rounding and the
+    modulus test then applies the exact cut.  The sum over j runs in index
+    order, as ``np.sum`` does for d < 8, so every value is bit-identical to
+    the one a scalar loop over k computes.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if h <= 0:
         raise ValueError("h must be positive")
-    remu = spec.mus.real
-    vals = []
-    for k in _enumerate_k(spec, lambda j: math.floor(radius / (2 * h * remu[j]))):
-        z = h * _mu_value(spec, k)
-        if abs(z) <= radius * (1 + 1e-12):
-            vals.append(z)
-    if not vals:
-        return []
-    vals.sort(key=lambda z: (abs(z), z.real, z.imag))
-    out = []
-    for z in vals:
-        if out and abs(z - out[-1][0]) <= DEDUP_RTOL * max(abs(z), abs(out[-1][0])):
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((z, 1))
-    return out
+    ks = _simplex_indices(spec.mus.real, radius / h * (1 + 1e-9))
+    vals = np.zeros(ks.shape[0], dtype=complex)
+    for j, mu in enumerate(spec.mus):
+        vals += (1.0 + 2.0 * ks[:, j]) * mu
+    vals *= h
+    return vals[_modulus(vals) <= radius * (1 + 1e-12)]
+
+
+def _near_pairs(vals, modulus, rtol=0.0, atol=0.0):
+    """Index pairs i < j with |vals_j - vals_i| <= atol + rtol |vals_j|.
+
+    ``vals`` must be sorted by ``modulus = |vals|``.  The modulus gap
+    |vals_j| - |vals_i| bounds the distance from below and grows with
+    j - i, so the sweep over offsets j - i stops at the first offset that
+    leaves no candidate.
+    """
+    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for s in range(1, vals.size):
+        tol = atol + rtol * modulus[s:]
+        cand = np.flatnonzero(modulus[s:] - modulus[:-s] <= tol)
+        if cand.size == 0:
+            break
+        near = cand[_modulus(vals[cand + s] - vals[cand]) <= tol[cand]]
+        first.append(near)
+        second.append(near + s)
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _distinct_values(spec, h, radius):
+    """Distinct lattice values with modulus <= radius and their multiplicities.
+
+    Values within relative distance DEDUP_RTOL of each other are chained
+    into one cluster (single linkage), so a conjugate value of equal
+    modulus cannot split near-equal copies.  Clusters are ordered by their
+    first member in (|z|, Re, Im) order, which also represents them.
+    """
+    vals = _lattice_values(spec, h, radius)
+    modulus = _modulus(vals)
+    order = np.lexsort((vals.imag, vals.real, modulus))
+    vals, modulus = vals[order], modulus[order]
+    first, second = _near_pairs(vals, modulus, rtol=DEDUP_RTOL)
+    # every member takes the smallest sorted position in its cluster
+    label = np.arange(vals.size)
+    while True:
+        low = np.minimum(label[first], label[second])
+        new = label.copy()
+        np.minimum.at(new, first, low)
+        np.minimum.at(new, second, low)
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps, counts = np.unique(label, return_counts=True)
+    return vals[reps], counts
+
+
+def lattice_points(spec, h, radius):
+    """All lattice values h*mu(k) with modulus <= radius, with multiplicity.
+
+    Returns (value, multiplicity) pairs ordered by (|z|, Re, Im).  The
+    values come from one enumeration of the simplex Re mu(k) <= radius/h,
+    and are deduplicated at relative tolerance 1e-9 because rationally
+    dependent mu_j collide exactly in exact arithmetic but only nearly in
+    floats.
+    """
+    vals, counts = _distinct_values(spec, h, radius)
+    return list(zip(vals.tolist(), counts.tolist()))
 
 
 def dist_to_spectrum(spec, h, z):
-    """Distance from z to the full spectral lattice.
+    """Distance from z (a scalar or an array) to the full spectral lattice.
 
-    Enumerates inside a radius that provably contains the minimizer: the
-    ground value h*mu(0) is a candidate, so nothing farther from the origin
-    than |z| plus that candidate distance can win.
+    The ground value h*mu(0) is a candidate, so no lattice value farther
+    from the origin than |z| + |z - h mu(0)| can be nearest to z.  One
+    enumeration up to the largest such reach over all z serves every z;
+    the distances are taken over blocks of z so the temporary stays small.
+    Returns a float for a scalar z and an array of z's shape otherwise.
     """
-    z = complex(z)
-    ground = h * _mu_value(spec, np.zeros(spec.dim, dtype=int))
-    reach = abs(z) + abs(z - ground) + 2.0 * h * float(np.sum(spec.mus.real))
-    best = abs(z - ground)
-    for pt, _ in lattice_points(spec, h, reach):
-        best = min(best, abs(z - pt))
-    return best
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    dist = np.empty(flat.size)
+    if flat.size:
+        ground = h * complex(np.sum(spec.mus))
+        reach = float(np.max(_modulus(flat) + _modulus(flat - ground)))
+        pts = _lattice_values(spec, h, reach + 2.0 * h * float(np.sum(spec.mus.real)))
+        for b in range(0, flat.size, _DIST_BLOCK):
+            block = flat[b:b + _DIST_BLOCK, None]
+            dist[b:b + _DIST_BLOCK] = np.min(_modulus(block - pts), axis=1)
+    return float(dist[0]) if z.ndim == 0 else dist.reshape(z.shape)
 
 
 def strip_count(spec, rho, r):
-    """#{k : |rho - Re mu(k)| <= r}, by exact bounded enumeration."""
+    """#{k : |rho - Re mu(k)| <= r}, by exact enumeration of the simplex
+    Re mu(k) <= rho + r."""
     if r < 0:
         raise ValueError("strip half-width r must be >= 0")
     remu = spec.mus.real
     if rho + r < float(np.sum(remu)):
         return 0
-    count = 0
-    for k in _enumerate_k(spec, lambda j: math.floor((rho + r) / (2 * remu[j]))):
-        if abs(rho - float(np.sum((1.0 + 2.0 * np.asarray(k)) * remu))) <= r:
-            count += 1
-    return count
+    ks = _simplex_indices(remu, (rho + r) * (1 + 1e-9))
+    vals = np.zeros(ks.shape[0])
+    for j, m in enumerate(remu):
+        vals += (1.0 + 2.0 * ks[:, j]) * m
+    return int(np.count_nonzero(np.abs(rho - vals) <= r))
 
 
 def simplex_volume(spec, radius):
@@ -201,38 +286,50 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class Admissibility:
+    """Verdict, first violated constraint ("" if none) and lattice distance.
+
+    Fields are a bool, a str and a float for one spectral parameter, and
+    arrays of the parameters' shape for an array of them.
+    """
+
     admissible: bool
     reason: str
     dist: float
 
 
 def admissible(region, spec, z):
-    """Test one spectral parameter against all region constraints.
+    """Test spectral parameters (a scalar or an array) against the region.
 
     The reason names the first violated constraint, checked outer bound,
     inner bound, then exclusion disc; admissible points carry reason "".
+    All distances come from one :func:`dist_to_spectrum` call.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     dist = dist_to_spectrum(spec, region.h, z)
-    if abs(z) > region.outer_radius:
-        return Admissibility(False, "outer bound", dist)
-    if region.inner_radius is not None and abs(z) < region.inner_radius:
-        return Admissibility(False, "inner bound", dist)
-    if dist < region.exclusion_radius:
-        return Admissibility(False, "exclusion disc", dist)
-    return Admissibility(True, "", dist)
+    modulus = _modulus(z)
+    inner = region.inner_radius
+    reason = np.select(
+        [
+            modulus > region.outer_radius,
+            modulus < inner if inner is not None else False,
+            dist < region.exclusion_radius,
+        ],
+        ["outer bound", "inner bound", "exclusion disc"],
+        default="",
+    )
+    if z.ndim == 0:
+        return Admissibility(bool(reason == ""), str(reason), float(dist))
+    return Admissibility(reason == "", reason, dist)
 
 
 def exclusion_discs(region, spec):
-    """Lattice points whose exclusion disc meets the region annulus."""
+    """Lattice points whose exclusion disc meets the region annulus,
+    ordered by (|z|, Re, Im)."""
     r = region.exclusion_radius
     inner = region.inner_radius or 0.0
-    pts = lattice_points(spec, region.h, region.outer_radius + r)
-    out = []
-    for z, _ in pts:
-        if inner - r < abs(z) < region.outer_radius + r:
-            out.append(z)
-    return out
+    pts, _ = _distinct_values(spec, region.h, region.outer_radius + r)
+    modulus = _modulus(pts)
+    return pts[(inner - r < modulus) & (modulus < region.outer_radius + r)].tolist()
 
 
 def _lens_area(dist, r, R):
@@ -265,10 +362,11 @@ def excluded_area_fraction(region, spec, samples=MC_SAMPLES, seed=0):
     centers = exclusion_discs(region, spec)
     if not centers:
         return 0.0
-    gaps = [
-        abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1:]
-    ]
-    if not gaps or min(gaps) > 2 * r:
+    pts = np.array(centers)
+    modulus = _modulus(pts)
+    order = np.argsort(modulus, kind="stable")
+    overlapping, _ = _near_pairs(pts[order], modulus[order], atol=2 * r)
+    if overlapping.size == 0:
         total = sum(
             _lens_area(abs(c), r, outer) - _lens_area(abs(c), r, inner)
             for c in centers

@@ -111,6 +111,11 @@ def averaging_identity_defect(q, T=1.0):
     sym(H^T G + G H) with H = 2 Im F; by integration by parts it equals
     the averaged matrix minus Re A exactly.  Both integrals come from the
     same matrix exponential, so this measures its rounding error.
+
+    The returned defect is absolute.  G and the average grow with the flow,
+    like exp(2 ||Im F|| T), and so does the rounding error: compare it with
+    2 ||H|| ||G|| + ||<Re q>_T||, against which it stays near machine
+    precision at every T, rather than with ||A|| alone.
     """
     total, G = _flow_integrals(q, T)
     H = 2.0 * hamilton_map(q).imag

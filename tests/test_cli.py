@@ -175,6 +175,34 @@ def test_cli_region_svg_disc_count(tmp_path, capsys):
     assert svg.count('class="lattice"') == summary["disc_count"]
 
 
+def test_cli_region_byte_identical_across_processes(tmp_path):
+    # byte-determinism at a fixed BLAS thread count, in fresh interpreters
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(dc.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    outputs = []
+    for run_idx in range(2):
+        out_dir = tmp_path / f"run{run_idx}"
+        out_dir.mkdir()
+        args, grid = region_args(out_dir, svg=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcspec.cli", *args],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((grid.read_bytes(), (out_dir / "region.svg").read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_deform_kfp(capsys):
     assert run(["deform", "--symbol", "kfp.json", "--T", "1", "--delta", "0.05"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,6 +82,54 @@ def test_lattice_points_match_brute_force(wedge):
     pts = dc.lattice_points(spec, 0.3, 5.0)
     brute = brute_force_points(spec, 0.3, 5.0, kmax=12)
     assert sum(m for _, m in pts) == len(brute)
+
+
+def conjugate_pair_spectrum(ns, theta, rng):
+    """mu_j = n_j e^(-+i theta), alternating, each perturbed at rounding level.
+
+    Lattice values are A e^(-i theta) + B e^(i theta) with A, B the integer
+    sums over the two halves, so (A, B) and its conjugate (B, A) share a
+    modulus and many k give the same (A, B).
+    """
+    w = np.exp(1j * theta)
+    exact = np.array([n * (w.conjugate() if j % 2 == 0 else w) for j, n in enumerate(ns)])
+    mus = exact * (1 + 4e-16 * rng.standard_normal(len(ns)))
+    return dc.LatticeSpectrum(len(ns), 1j * mus, mus)
+
+
+def exact_multiplicities(ns, theta, radius, kmax):
+    counts = Counter()
+    for k in itertools.product(range(kmax + 1), repeat=len(ns)):
+        odd = [(1 + 2 * kj) * n for kj, n in zip(k, ns)]
+        A, B = sum(odd[0::2]), sum(odd[1::2])
+        if abs(A * np.exp(-1j * theta) + B * np.exp(1j * theta)) <= radius:
+            counts[(A, B)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("ns", [(1, 1, 1, 1), (1, 2, 2, 1), (1, 1, 1)])
+def test_lattice_points_rationally_dependent_exact_count(ns, rng):
+    theta, radius = np.pi / 5, 17.3
+    exact = exact_multiplicities(ns, theta, radius, kmax=9)
+    # no exact modulus lies within rounding of the cut
+    moduli = [abs(A * np.exp(-1j * theta) + B * np.exp(1j * theta)) for A, B in exact]
+    assert min(abs(m - radius) for m in moduli) > 1e-6
+    for _ in range(5):
+        pts = dc.lattice_points(conjugate_pair_spectrum(ns, theta, rng), 1.0, radius)
+        assert sorted(m for _, m in pts) == sorted(exact.values())
+
+
+def test_lattice_points_permutation_invariant(rng):
+    # conjugate values tie in modulus, so compare by rounded position
+    def keyed(pts):
+        return sorted(((round(z.real, 6), round(z.imag, 6)), m) for z, m in pts)
+
+    spec = conjugate_pair_spectrum((1, 2, 2, 1), np.pi / 5, rng)
+    base = keyed(dc.lattice_points(spec, 0.5, 8.0))
+    assert max(m for _, m in base) > 1
+    for perm in itertools.permutations(range(4)):
+        mus = spec.mus[list(perm)]
+        assert keyed(dc.lattice_points(dc.LatticeSpectrum(4, 1j * mus, mus), 0.5, 8.0)) == base
 
 
 def test_lattice_scaling_relation(wedge):
@@ -189,6 +238,51 @@ def test_admissible_reasons(wedge):
     assert verdict.admissible and verdict.reason == ""
 
 
+@pytest.mark.parametrize("inner", [0.15, None])
+@pytest.mark.parametrize("shape", [(), (9,), (5, 6), (0,), (2, 0)])
+def test_array_queries_match_scalar_and_brute_force(wedge, inner, shape):
+    spec = dc.stable_eigenvalues(dc.hamilton_map(wedge))
+    h = 0.05
+    region = dc.RegionSpec.with_f_value(h, 10.0, 10.0, 2, inner_radius=inner)
+    n = math.prod(shape)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-0.6, 0.6, n) + 1j * rng.uniform(-0.6, 0.6, n)
+    # a lattice point in the annulus, a point near 0, one beyond the outer
+    # radius and the admissible midpoint of test_admissible_reasons
+    z[:4] = [h * 3 * math.sqrt(3), 0.01, 0.7j, h * math.sqrt(3) * 2.0][:n]
+    z = z.reshape(shape)
+    dist = dc.dist_to_spectrum(spec, h, z)
+    verdict = dc.admissible(region, spec, z)
+    if shape == ():
+        assert type(dist) is float and type(verdict.dist) is float
+        assert type(verdict.admissible) is bool and type(verdict.reason) is str
+    else:
+        for out in (dist, verdict.dist, verdict.admissible, verdict.reason):
+            assert isinstance(out, np.ndarray) and out.shape == shape
+    reasons = set()
+    for idx in np.ndindex(shape):
+        zi = complex(np.asarray(z)[idx])
+        one = dc.admissible(region, spec, zi)
+        assert np.asarray(dist)[idx] == dc.dist_to_spectrum(spec, h, zi) == one.dist
+        assert np.asarray(verdict.admissible)[idx] == one.admissible
+        assert np.asarray(verdict.reason)[idx] == one.reason
+        brute = min(abs(zi - p) for p in brute_force_points(spec, h, 2 * abs(zi) + 1.0, 40))
+        assert abs(one.dist - brute) < 1e-12
+        if abs(zi) > region.outer_radius:
+            want = "outer bound"
+        elif inner is not None and abs(zi) < inner:
+            want = "inner bound"
+        elif brute < region.exclusion_radius:
+            want = "exclusion disc"
+        else:
+            want = ""
+        assert (one.admissible, one.reason) == (want == "", want)
+        reasons.add(want)
+    if n >= 4:
+        every = {"", "outer bound", "inner bound", "exclusion disc"}
+        assert reasons == (every if inner is not None else every - {"inner bound"})
+
+
 def test_three_panel_grid_geometry(wedge):
     # every constraint type is realized on each panel's membership grid
     spec = dc.stable_eigenvalues(dc.hamilton_map(wedge))
@@ -220,6 +314,20 @@ def test_admissibility_scaling_invariance(wedge):
         assert a.admissible == b.admissible and a.reason == b.reason
 
 
+def monte_carlo_fraction(region, spec, n=200000, seed=42):
+    """Independent Monte Carlo estimate of the excluded share of the annulus."""
+    rng = np.random.default_rng(seed)
+    rr = np.sqrt(
+        region.inner_radius**2
+        + rng.random(n) * (region.outer_radius**2 - region.inner_radius**2)
+    )
+    zz = rr * np.exp(2j * np.pi * rng.random(n))
+    covered = np.zeros(n, dtype=bool)
+    for c in dc.exclusion_discs(region, spec):
+        covered |= np.abs(zz - c) < region.exclusion_radius
+    return covered.mean()
+
+
 def test_excluded_area_fraction_empty():
     spec = two_mode_spectrum()
     # outer radius far below the first lattice value
@@ -231,19 +339,17 @@ def test_excluded_area_fraction_exact_vs_monte_carlo(wedge):
     spec = dc.stable_eigenvalues(dc.hamilton_map(wedge))
     region = dc.RegionSpec.with_f_value(0.05, 10.0, 10.0, 2, inner_radius=0.15)
     exact = dc.excluded_area_fraction(region, spec)
-    # independent Monte Carlo
-    rng = np.random.default_rng(42)
-    n = 200000
-    rr = np.sqrt(
-        region.inner_radius**2
-        + rng.random(n) * (region.outer_radius**2 - region.inner_radius**2)
-    )
-    zz = rr * np.exp(2j * np.pi * rng.random(n))
-    centers = dc.exclusion_discs(region, spec)
-    covered = np.zeros(n, dtype=bool)
-    for c in centers:
-        covered |= np.abs(zz - c) < region.exclusion_radius
-    assert abs(exact - covered.mean()) < 5e-3
+    assert abs(exact - monte_carlo_fraction(region, spec)) < 5e-3
+
+
+def test_excluded_area_fraction_overlapping_discs():
+    # lattice gap 2 h (1.05 - 1) = 0.005 is far below twice the exclusion
+    # radius, so the disjoint-lens sum (0.0145 here) would count the
+    # overlaps twice; the union covers about 0.0067
+    spec = two_mode_spectrum(1.0, 1.05)
+    region = dc.RegionSpec.with_f_value(0.05, 10.0, 10.0, 2, inner_radius=0.15)
+    frac = dc.excluded_area_fraction(region, spec, samples=200000, seed=1)
+    assert abs(frac - monte_carlo_fraction(region, spec)) < 1e-3
 
 
 def test_excluded_area_fraction_monotone_in_c1(wedge):

@@ -50,15 +50,20 @@ def test_averaging_identity_random(rng):
         assert dc.averaging_identity_defect(q, T=1.0) <= 1e-8 * np.linalg.norm(q.matrix)
 
 
+def flow_test_forms(d, corank, T, count=3):
+    """Seeded (Re A, q) pairs with Re A of rank 2d - corank."""
+    rng = np.random.default_rng(100 * d + 10 * corank + int(2 * T))
+    for _ in range(count):
+        ReA = random_psd_real_form(rng, d, 2 * d - corank)
+        yield ReA, dc.QuadraticForm(d, ReA + 1j * sym(rng.standard_normal((2 * d, 2 * d))))
+
+
 @pytest.mark.parametrize("T", [0.5, 2.5])
 @pytest.mark.parametrize("corank", [0, 1])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_flow_averages_match_quad_vec(d, corank, T):
     # independent oracle: adaptive quadrature of the flow, expm at each node
-    rng = np.random.default_rng(100 * d + 10 * corank + int(2 * T))
-    for _ in range(3):
-        ReA = random_psd_real_form(rng, d, 2 * d - corank)
-        q = dc.QuadraticForm(d, ReA + 1j * sym(rng.standard_normal((2 * d, 2 * d))))
+    for ReA, q in flow_test_forms(d, corank, T):
         ImF = dc.hamilton_map(q).imag
 
         def phi(t):
@@ -72,6 +77,21 @@ def test_flow_averages_match_quad_vec(d, corank, T):
         G = dc.weight_gq(q, T=T).matrix
         assert np.linalg.norm(avg - sym(total) / T) <= 1e-10 * np.linalg.norm(total / T)
         assert np.linalg.norm(G - sym(ramp)) <= 1e-10 * np.linalg.norm(ramp)
+
+
+@pytest.mark.parametrize("corank", [0, 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_averaging_identity_defect_relative_to_flow(d, corank):
+    # The defect is absolute and grows with the flow: at T = 2.5 it reaches
+    # 1.6e-4 (d = 3, corank 1), far above 1e-8 ||A||, while relative to the
+    # terms the identity compares it stays at rounding level.
+    T = 2.5
+    for _, q in flow_test_forms(d, corank, T):
+        H = 2.0 * dc.hamilton_map(q).imag
+        G = dc.weight_gq(q, T=T).matrix
+        avg = dc.averaged_real_part(q, T=T).matrix
+        scale = 2.0 * np.linalg.norm(H) * np.linalg.norm(G) + np.linalg.norm(avg)
+        assert dc.averaging_identity_defect(q, T=T) <= 1e-12 * scale
 
 
 def test_deformed_symbol_at_zero(kfp):
