@@ -106,72 +106,94 @@ def _simplex_indices(remu, bound):
     return ks
 
 
+def _weighted_sum(ks, coeffs):
+    """sum_j (1 + 2 k_j) coeffs_j for every row k of ks.
+
+    The sum over j runs in index order, as ``np.sum`` does for d < 8, so
+    every value is bit-identical to the one a scalar loop over k computes.
+    """
+    out = np.zeros(ks.shape[0], dtype=np.result_type(coeffs, float))
+    for j, c in enumerate(coeffs):
+        out += (1.0 + 2.0 * ks[:, j]) * c
+    return out
+
+
 def _lattice_values(spec, h, radius):
     """Every lattice value h*mu(k) with modulus <= radius, one per k.
 
     Since |h mu(k)| >= h Re mu(k), the simplex Re mu(k) <= radius/h holds
     every such k; a relative margin of 1e-9 on it covers rounding and the
-    modulus test then applies the exact cut.  The sum over j runs in index
-    order, as ``np.sum`` does for d < 8, so every value is bit-identical to
-    the one a scalar loop over k computes.
+    modulus test then applies the exact cut.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if h <= 0:
         raise ValueError("h must be positive")
     ks = _simplex_indices(spec.mus.real, radius / h * (1 + 1e-9))
-    vals = np.zeros(ks.shape[0], dtype=complex)
-    for j, mu in enumerate(spec.mus):
-        vals += (1.0 + 2.0 * ks[:, j]) * mu
-    vals *= h
+    vals = h * _weighted_sum(ks, spec.mus)
     return vals[_modulus(vals) <= radius * (1 + 1e-12)]
 
 
-def _near_pairs(vals, modulus, rtol=0.0, atol=0.0):
-    """Index pairs i < j with |vals_j - vals_i| <= atol + rtol |vals_j|.
+def _near_offsets(vals, modulus, rtol=0.0, atol=0.0):
+    """Per offset s, the positions i with |vals_{i+s} - vals_i| <= tol_{i+s}.
 
-    ``vals`` must be sorted by ``modulus = |vals|``.  The modulus gap
-    |vals_j| - |vals_i| bounds the distance from below and grows with
-    j - i, so the sweep over offsets j - i stops at the first offset that
-    leaves no candidate.
+    Here tol_j = atol + rtol |vals_j|, and ``vals`` must be sorted by
+    ``modulus = |vals|``.  The modulus gap |vals_{i+s}| - |vals_i| bounds
+    the distance from below and grows with s, so the sweep over offsets
+    stops at the first offset that leaves no candidate.  Yields (s, i).
     """
-    first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for s in range(1, vals.size):
         tol = atol + rtol * modulus[s:]
         cand = np.flatnonzero(modulus[s:] - modulus[:-s] <= tol)
         if cand.size == 0:
-            break
-        near = cand[_modulus(vals[cand + s] - vals[cand]) <= tol[cand]]
-        first.append(near)
-        second.append(near + s)
-    return np.concatenate(first), np.concatenate(second)
+            return
+        yield s, cand[_modulus(vals[cand + s] - vals[cand]) <= tol[cand]]
+
+
+def _cluster_heads(vals, modulus, rtol):
+    """For every value, the smallest index of its single-linkage cluster."""
+    pairs = [(near, near + s) for s, near in _near_offsets(vals, modulus, rtol=rtol)]
+    first = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[0] for p in pairs])
+    second = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[1] for p in pairs])
+    head = np.arange(vals.size)
+    while True:
+        low = np.minimum(head[first], head[second])
+        new = head.copy()
+        np.minimum.at(new, first, low)
+        np.minimum.at(new, second, low)
+        if np.array_equal(new, head):
+            return head
+        head = new
 
 
 def _distinct_values(spec, h, radius):
     """Distinct lattice values with modulus <= radius and their multiplicities.
 
-    Values within relative distance DEDUP_RTOL of each other are chained
-    into one cluster (single linkage), so a conjugate value of equal
-    modulus cannot split near-equal copies.  Clusters are ordered by their
-    first member in (|z|, Re, Im) order, which also represents them.
+    Values are sorted by (|z|, Re, Im) and first collapsed into grid cells:
+    a value of modulus in [2^(e-1), 2^e) falls in a square of side
+    DEDUP_RTOL 2^(e-2) of its octave's grid, so the members of one cell lie
+    within DEDUP_RTOL |z| of each other.  Exact and rounding-level copies
+    share a cell or sit in adjacent ones, so the number of cells does not
+    grow with multiplicity.  Cells are then chained into clusters (single
+    linkage) when their first members are within relative distance
+    DEDUP_RTOL, so a conjugate value of equal modulus cannot split
+    near-equal copies.  Each cluster is represented by its first member.
     """
     vals = _lattice_values(spec, h, radius)
     modulus = _modulus(vals)
     order = np.lexsort((vals.imag, vals.real, modulus))
     vals, modulus = vals[order], modulus[order]
-    first, second = _near_pairs(vals, modulus, rtol=DEDUP_RTOL)
-    # every member takes the smallest sorted position in its cluster
-    label = np.arange(vals.size)
-    while True:
-        low = np.minimum(label[first], label[second])
-        new = label.copy()
-        np.minimum.at(new, first, low)
-        np.minimum.at(new, second, low)
-        if np.array_equal(new, label):
-            break
-        label = new
-    reps, counts = np.unique(label, return_counts=True)
-    return vals[reps], counts
+    _, octave = np.frexp(modulus)
+    side = np.ldexp(DEDUP_RTOL, octave - 2)
+    cells = np.stack(
+        [octave, np.floor(vals.real / side), np.floor(vals.imag / side)], axis=1
+    ).astype(np.int64)
+    _, first, cell = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+    reps = np.sort(first)
+    heads = reps[_cluster_heads(vals[reps], modulus[reps], DEDUP_RTOL)]
+    owner = heads[np.searchsorted(reps, first)][cell.ravel()]
+    head, counts = np.unique(owner, return_counts=True)
+    return vals[head], counts
 
 
 def lattice_points(spec, h, radius):
@@ -217,10 +239,7 @@ def strip_count(spec, rho, r):
     remu = spec.mus.real
     if rho + r < float(np.sum(remu)):
         return 0
-    ks = _simplex_indices(remu, (rho + r) * (1 + 1e-9))
-    vals = np.zeros(ks.shape[0])
-    for j, m in enumerate(remu):
-        vals += (1.0 + 2.0 * ks[:, j]) * m
+    vals = _weighted_sum(_simplex_indices(remu, (rho + r) * (1 + 1e-9)), remu)
     return int(np.count_nonzero(np.abs(rho - vals) <= r))
 
 
@@ -289,12 +308,13 @@ class Admissibility:
     """Verdict, first violated constraint ("" if none) and lattice distance.
 
     Fields are a bool, a str and a float for one spectral parameter, and
-    arrays of the parameters' shape for an array of them.
+    arrays of the parameters' shape for an array of them.  Array-valued
+    verdicts are neither comparable with ``==`` nor hashable.
     """
 
-    admissible: bool
-    reason: str
-    dist: float
+    admissible: bool | np.ndarray
+    reason: str | np.ndarray
+    dist: float | np.ndarray
 
 
 def admissible(region, spec, z):
@@ -365,8 +385,8 @@ def excluded_area_fraction(region, spec, samples=MC_SAMPLES, seed=0):
     pts = np.array(centers)
     modulus = _modulus(pts)
     order = np.argsort(modulus, kind="stable")
-    overlapping, _ = _near_pairs(pts[order], modulus[order], atol=2 * r)
-    if overlapping.size == 0:
+    near = _near_offsets(pts[order], modulus[order], atol=2 * r)
+    if not any(i.size for _, i in near):
         total = sum(
             _lens_area(abs(c), r, outer) - _lens_area(abs(c), r, inner)
             for c in centers

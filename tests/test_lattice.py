@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -72,9 +73,11 @@ def test_lattice_points_wedge_in_cone(wedge):
 
 
 def test_lattice_points_multiplicities():
-    spec = two_mode_spectrum()
-    pts = dc.lattice_points(spec, 1.0, 6.0)
-    assert [(round(z.real), m) for z, m in pts] == [(2, 1), (4, 2), (6, 3)]
+    # with eps > 0 the copies of 4 fall on both sides of 4, in two octaves
+    for eps in (0.0, 2.0**-50):
+        spec = two_mode_spectrum(1 + eps, 1 - eps)
+        pts = dc.lattice_points(spec, 1.0, 6.0)
+        assert [(round(z.real), m) for z, m in pts] == [(2, 1), (4, 2), (6, 3)]
 
 
 def test_lattice_points_match_brute_force(wedge):
@@ -130,6 +133,23 @@ def test_lattice_points_permutation_invariant(rng):
     for perm in itertools.permutations(range(4)):
         mus = spec.mus[list(perm)]
         assert keyed(dc.lattice_points(dc.LatticeSpectrum(4, 1j * mus, mus), 0.5, 8.0)) == base
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.3 * np.exp(1j * np.pi / 7)])
+def test_lattice_points_isotropic_d3_large_radius(mu, rng):
+    # mu(k) = (2n + 3) mu with n = |k| has multiplicity C(n+2, 2), up to
+    # 4950 copies per value at radius / h = 200; merging must not pair them all
+    mus = mu * (1 + 4e-16 * rng.standard_normal(3))
+    spec = dc.LatticeSpectrum(3, 1j * mus, mus)
+    h = 0.05
+    start = time.perf_counter()
+    pts = dc.lattice_points(spec, h, 200 * h)
+    assert time.perf_counter() - start < 10.0
+    n_max = math.floor((200 / abs(mu) - 3) / 2)
+    assert len(pts) == n_max + 1
+    for n, (z, m) in enumerate(pts):
+        assert m == math.comb(n + 2, 2)
+        assert abs(z - h * (2 * n + 3) * mu) <= 1e-12 * abs(z)
 
 
 def test_lattice_scaling_relation(wedge):
