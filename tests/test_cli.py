@@ -175,31 +175,50 @@ def test_cli_region_svg_disc_count(tmp_path, capsys):
     assert svg.count('class="lattice"') == summary["disc_count"]
 
 
-def test_cli_region_byte_identical_across_processes(tmp_path):
-    # byte-determinism at a fixed BLAS thread count, in fresh interpreters
+def _src_env(**extra):
+    """Environment of a fresh interpreter that imports dcspec from this tree."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     src = str(Path(dc.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    return dict(
+        os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra
     )
+
+
+def cli_outputs_in_fresh_interpreters(tmp_path, make_args):
+    """Bytes written by ``python -m dcspec.cli`` in two separate processes.
+
+    ``make_args(out_dir)`` returns (argv, output paths) for one run; each
+    run gets its own directory and one BLAS thread.  Returns, per run, the
+    bytes of every output file followed by stdout.
+    """
+    import subprocess
+    import sys
+
+    env = _src_env(OPENBLAS_NUM_THREADS="1")
     outputs = []
     for run_idx in range(2):
         out_dir = tmp_path / f"run{run_idx}"
         out_dir.mkdir()
-        args, grid = region_args(out_dir, svg=True)
+        args, paths = make_args(out_dir)
         proc = subprocess.run(
             [sys.executable, "-m", "dcspec.cli", *args],
             capture_output=True,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append((grid.read_bytes(), (out_dir / "region.svg").read_bytes(), proc.stdout))
+        outputs.append(tuple(p.read_bytes() for p in paths) + (proc.stdout,))
+    return outputs
+
+
+def test_cli_region_byte_identical_across_processes(tmp_path):
+    # byte-determinism at a fixed BLAS thread count, in fresh interpreters
+    def make_args(out_dir):
+        args, grid = region_args(out_dir, svg=True)
+        return args, [grid, out_dir / "region.svg"]
+
+    outputs = cli_outputs_in_fresh_interpreters(tmp_path, make_args)
     assert outputs[0] == outputs[1]
 
 
@@ -267,6 +286,25 @@ def test_cli_resolvent(capsys):
     assert out["rel_change"] < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["no_convergence", "error"])
+def test_cli_arpack_failure_exit_code(capsys, monkeypatch, kind):
+    import scipy.sparse.linalg as spla
+    from dcspec.weyl import DENSE_SVD_CUTOFF
+
+    def fail(*args, **kwargs):
+        if kind == "no_convergence":
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    assert dc.HermiteTruncation(1, 190, 1.0).size > DENSE_SVD_CUTOFF  # both levels sparse
+    argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "200", "--z", "2,0.5"]
+    assert run(argv) == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "NumericalFailureError"
+    assert "ARPACK" in payload["message"]
+
+
 def test_cli_coarse_level_below_small_n(capsys):
     argv = ["resolvent", "--symbol", "harmonic.json", "--h", "0.1", "--z", "0.3,0.2"]
     assert run(argv + ["--N", "2"]) == 0
@@ -282,19 +320,19 @@ def test_cli_coarse_level_below_small_n(capsys):
 
 
 def test_cli_import_skips_scipy_optimize():
-    import os
+    # neither scipy.optimize nor the sparse solvers load with the CLI
     import subprocess
     import sys
-    from pathlib import Path
 
-    src = str(Path(dc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, dcspec.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, dcspec.cli; "
+        "print([m in sys.modules for m in ('scipy.optimize', 'scipy.sparse.linalg')])"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):
@@ -389,6 +427,18 @@ def test_cli_probe_theorem_deterministic(tmp_path, capsys):
         assert rc == 0
         outs.append((csv_path.read_bytes(), capsys.readouterr().out))
     assert outs[0] == outs[1]
+
+
+def test_cli_probe_theorem_byte_identical_across_processes(tmp_path):
+    # the sparse LU + ARPACK path (n >= 325 here) is reproducible across processes
+    def make_args(out_dir):
+        csv_path = out_dir / "probe.csv"
+        args = ["probe-theorem", "--symbol", "kfp.json", "--C0", "0.15", "--C1", "10",
+                "--h-list", "0.2,0.1", "--samples", "3", "--seed", "0", "--out", str(csv_path)]
+        return args, [csv_path]
+
+    outputs = cli_outputs_in_fresh_interpreters(tmp_path, make_args)
+    assert outputs[0] == outputs[1]
 
 
 def test_export_svg_empty():

@@ -32,7 +32,7 @@ def test_harmonic_oscillator_is_diagonal(harmonic):
     for N, h in ((7, 0.3), (20, 0.1)):
         op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, N, h))
         expected = np.diag([h * (1 + 2 * k) for k in range(N + 1)])
-        assert np.allclose(op.matrix, expected, atol=1e-13)
+        assert np.allclose(op.matrix.toarray(), expected, atol=1e-13)
 
 
 def test_cross_term_against_ladder_oracle():
@@ -43,7 +43,7 @@ def test_cross_term_against_ladder_oracle():
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, N, h))
     x, p = ladder_matrices_1d(N + 3, h)
     oracle = 0.5 * (x @ p + p @ x)
-    assert np.allclose(op.matrix, oracle[: N + 1, : N + 1], atol=1e-13)
+    assert np.allclose(op.matrix.toarray(), oracle[: N + 1, : N + 1], atol=1e-13)
 
 
 def test_two_dimensional_product_against_oracle():
@@ -60,7 +60,7 @@ def test_two_dimensional_product_against_oracle():
     for i, (m1, m2) in enumerate(idx):
         for j, (n1, n2) in enumerate(idx):
             M[i, j] = x1d[m1, n1] * p1d[m2, n2]
-    assert np.allclose(op.matrix, M, atol=1e-13)
+    assert np.allclose(op.matrix.toarray(), M, atol=1e-13)
 
 
 def test_hermitian_for_real_symbols(rng):
@@ -69,7 +69,7 @@ def test_hermitian_for_real_symbols(rng):
         A = rng.standard_normal((2 * d, 2 * d))
         q = dc.QuadraticForm(d, (A + A.T) / 2 + 0j)
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(d, 8, 0.4))
-        M = op.matrix
+        M = op.matrix.toarray()
         assert np.linalg.norm(M - M.conj().T) <= 1e-12 * max(1, np.linalg.norm(M))
 
 
@@ -82,8 +82,10 @@ def test_quantization_linearity(rng):
     q2 = dc.QuadraticForm(d, A2)
     a, b = 0.7 - 0.2j, 1.3 + 0.5j
     q12 = dc.QuadraticForm(d, a * q1.matrix + b * q2.matrix)
-    M = dc.quantize_quadratic(q12, tr).matrix
-    M12 = a * dc.quantize_quadratic(q1, tr).matrix + b * dc.quantize_quadratic(q2, tr).matrix
+    M = dc.quantize_quadratic(q12, tr).matrix.toarray()
+    M1 = dc.quantize_quadratic(q1, tr).matrix.toarray()
+    M2 = dc.quantize_quadratic(q2, tr).matrix.toarray()
+    M12 = a * M1 + b * M2
     assert np.allclose(M, M12, atol=1e-13 * max(1, np.linalg.norm(M)))
 
 
@@ -161,7 +163,7 @@ def test_resolvent_norm_normal_case(harmonic):
     assert dc.resolvent_norm(op, 0.2) == pytest.approx(10.0, rel=1e-10)
     assert math.isinf(dc.resolvent_norm(op, 0.3))
     # normal truncation: norm equals reciprocal distance to the spectrum
-    eigs = np.diag(op.matrix.real)
+    eigs = np.diag(op.matrix.toarray().real)
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = complex(rng.uniform(0, 2), rng.uniform(-1, 1))
@@ -183,19 +185,57 @@ def test_davies_ray_growth_until_saturation(davies):
     assert norms[120] * dc.dist_to_spectrum(spec, 1.0, z) > 10
 
 
-def test_resolvent_norm_inverse_iteration_agrees(davies):
-    op = dc.quantize_quadratic(davies, dc.HermiteTruncation(1, 40, 1.0))
-    z = 2.0 + 0.5j
-    dense = dc.resolvent_norm(op, z)
-    iterative = dc.resolvent_norm(op, z, dense_cutoff=1)
-    assert iterative == pytest.approx(dense, rel=1e-6)
+@pytest.mark.parametrize(
+    "q, N, h, sparse",
+    [
+        (davies_form(1.0), 120, 1.0, False),
+        (davies_form(1.0), 300, 1.0, True),
+        (kfp_form(1.0), 12, 0.1, False),
+        (kfp_form(1.0), 36, 0.1, True),
+    ],
+    ids=["davies-121", "davies-301", "kfp-91", "kfp-703"],
+)
+def test_resolvent_norm_matches_dense_svd(q, N, h, sparse):
+    # both sides of the cutoff against a full SVD of the densified matrix,
+    # at random shifts and at shifts 1% of |lambda| from the lowest eigenvalues
+    from dcspec.weyl import DENSE_SVD_CUTOFF
+
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+    n = op.trunc.size
+    assert (n > DENSE_SVD_CUTOFF) == sparse
+    M = op.matrix.toarray()
+    lowest = sorted(np.linalg.eigvals(M), key=abs)[:3]
+    rng = np.random.default_rng(17)
+    scale = abs(lowest[-1])
+    zs = [scale * complex(rng.uniform(0, 2), rng.uniform(-1, 1)) for _ in range(6)]
+    zs += [lam * (1 + 0.01 * np.exp(1j * t)) for lam in lowest for t in (0.7, 2.5)]
+    for z in zs:
+        want = 1.0 / np.linalg.svd(M - z * np.eye(n), compute_uv=False)[-1]
+        assert dc.resolvent_norm(op, z) == pytest.approx(want, rel=1e-10)
+
+
+def test_resolvent_norm_infinity_signal_sparse(harmonic):
+    from dcspec.weyl import DENSE_SVD_CUTOFF
+
+    op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 200, 0.1))
+    assert op.trunc.size > DENSE_SVD_CUTOFF
+    eigs = op.matrix.diagonal().real
+    # an exact diagonal entry makes the LU factor exactly singular; 0.3 is
+    # an eigenvalue up to rounding
+    assert math.isinf(dc.resolvent_norm(op, eigs[5]))
+    assert math.isinf(dc.resolvent_norm(op, 0.3))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        z = complex(rng.uniform(0, 2), rng.uniform(-1, 1))
+        expected = 1.0 / np.min(np.abs(eigs - z))
+        assert dc.resolvent_norm(op, z) == pytest.approx(expected, rel=1e-10)
 
 
 def test_pseudospectrum_grid_harmonic(harmonic):
     op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 20, 0.1))
     re_axis, im_axis, grid = dc.pseudospectrum_grid(op, (0.05, 0.45, -0.1, 0.1), (5, 3))
     assert grid.shape == (3, 5)
-    eigs = np.diag(op.matrix.real)
+    eigs = np.diag(op.matrix.toarray().real)
     for j, im in enumerate(im_axis):
         for i, re in enumerate(re_axis):
             z = complex(re, im)
