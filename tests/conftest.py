@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from dcspec import build_quadratic_form, standard_j
+from dcspec import QuadraticForm, build_quadratic_form, standard_j
 from dcspec._linalg import sym
 
 
@@ -69,6 +69,17 @@ def random_canonical_matrix(rng, dim, scale=0.4):
         + 1j * rng.standard_normal((2 * dim, 2 * dim))
     )
     return sla.expm(-scale * standard_j(dim) @ S)
+
+
+def random_complex_form(rng, dim):
+    """Quadratic form with a random complex symmetric 2d x 2d matrix."""
+    return QuadraticForm(
+        dim,
+        sym(
+            rng.standard_normal((2 * dim, 2 * dim))
+            + 1j * rng.standard_normal((2 * dim, 2 * dim))
+        ),
+    )
 
 
 def multiset_defect(a, b):

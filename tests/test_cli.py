@@ -305,6 +305,22 @@ def test_cli_arpack_failure_exit_code(capsys, monkeypatch, kind):
     assert "ARPACK" in payload["message"]
 
 
+def test_cli_superlu_failure_exit_code(capsys, monkeypatch):
+    # a SuperLU error other than an exactly singular factor is a numerical
+    # failure (exit 3), not a traceback
+    import scipy.sparse.linalg as spla
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("Not enough memory to perform factorization.")
+
+    monkeypatch.setattr(spla, "splu", fail)
+    argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "200", "--z", "2,0.5"]
+    assert run(argv) == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "NumericalFailureError"
+    assert "SuperLU" in payload["message"]
+
+
 def test_cli_coarse_level_below_small_n(capsys):
     argv = ["resolvent", "--symbol", "harmonic.json", "--h", "0.1", "--z", "0.3,0.2"]
     assert run(argv + ["--N", "2"]) == 0

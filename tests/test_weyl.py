@@ -1,9 +1,13 @@
+import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dcspec as dc
+from dcspec.cli import parse_symbol_spec
 from conftest import davies_form, harmonic_form, kfp_form, multiset_defect
 
 
@@ -26,6 +30,26 @@ def test_multi_index_count():
             assert len(idx) == math.comb(N + d, d)
             assert len(set(idx)) == len(idx)
             assert all(sum(k) <= N for k in idx)
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 0), (1, 5), (2, 6), (3, 5)])
+def test_ladder_ops_against_index_loop(dim, degree):
+    # a_j |k> = sqrt(k_j) |k - e_j>, placed by a position lookup per entry
+    from dcspec.weyl import _ladder_ops, multi_indices
+
+    h = 0.3
+    idx = multi_indices(dim, degree)
+    pos = {k: i for i, k in enumerate(idx)}
+    n, ops = _ladder_ops(dim, degree, h)
+    assert n == len(idx)
+    c = math.sqrt(h / 2)
+    for j in range(dim):
+        a = np.zeros((n, n))
+        for k in idx:
+            if k[j] >= 1:
+                a[pos[k[:j] + (k[j] - 1,) + k[j + 1:]], pos[k]] = math.sqrt(k[j])
+        assert np.array_equal(ops[j].toarray(), c * (a + a.T))
+        assert np.array_equal(ops[dim + j].toarray(), -1j * c * (a - a.T))
 
 
 def test_harmonic_oscillator_is_diagonal(harmonic):
@@ -212,6 +236,53 @@ def test_resolvent_norm_matches_dense_svd(q, N, h, sparse):
     for z in zs:
         want = 1.0 / np.linalg.svd(M - z * np.eye(n), compute_uv=False)[-1]
         assert dc.resolvent_norm(op, z) == pytest.approx(want, rel=1e-10)
+
+
+def test_resolvent_norm_matches_dense_svd_at_probe_shifts(kfp):
+    # admissible points drawn as probe-theorem draws them, where the
+    # shift sits inside the numerical range and Lanczos restarts most
+    from dcspec.cli import sample_admissible
+    from dcspec.weyl import DENSE_SVD_CUTOFF
+
+    h = 0.1
+    spec = dc.stable_eigenvalues(dc.hamilton_map(kfp))
+    region = dc.RegionSpec(h=h, C0=0.15, C1=10.0, dim=2, inner_radius=3 * h)
+    zs = sample_admissible(region, spec, 6, np.random.default_rng(0))
+    N = dc.suggested_degree(region.outer_radius, h, 2)
+    op = dc.quantize_quadratic(kfp, dc.HermiteTruncation(2, N, h))
+    n = op.trunc.size
+    assert n > DENSE_SVD_CUTOFF
+    M = op.matrix.toarray()
+    for z in zs:
+        want = 1.0 / np.linalg.svd(M - z * np.eye(n), compute_uv=False)[-1]
+        assert dc.resolvent_norm(op, z) == pytest.approx(want, rel=1e-10)
+
+
+_BUNDLED = sorted(p.name for p in resources.files("dcspec").joinpath("symbols").iterdir())
+
+
+@pytest.mark.parametrize("source", _BUNDLED + ["random-d1", "random-d2", "random-d3"])
+def test_galerkin_matrix_is_parity_block_diagonal(source):
+    from conftest import random_complex_form
+    from dcspec.weyl import multi_indices
+
+    if source.startswith("random"):
+        d = int(source[-1])
+        rng = np.random.default_rng(10 + d)
+        forms = [random_complex_form(rng, d) for _ in range(3)]
+    else:
+        forms = [parse_symbol_spec(source)]
+    for q, N in itertools.product(forms, (7, 10)):
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, 0.3))
+        M = op.matrix
+        parity = np.array([sum(k) % 2 for k in multi_indices(q.dim, N)])
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        assert M[even][:, odd].nnz == 0 and M[odd][:, even].nnz == 0
+        # the blocks, put back through the parity permutation, are M exactly
+        perm = np.concatenate((even, odd))
+        rebuilt = np.zeros(M.shape, dtype=complex)
+        rebuilt[np.ix_(perm, perm)] = sp.block_diag(op.parity_blocks).toarray()
+        assert np.array_equal(rebuilt, M.toarray())
 
 
 def test_resolvent_norm_infinity_signal_sparse(harmonic):
