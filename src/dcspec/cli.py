@@ -142,6 +142,8 @@ def parse_symbol_spec(path):
             value = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise SymbolSchemaError(f"{path}: term {i} malformed: {exc}") from exc
+        if not np.isfinite(value):
+            raise SymbolSchemaError(f"{path}: term {i} coefficient {value} is not finite")
         key = (alpha, beta)
         coeffs[key] = coeffs.get(key, 0.0) + value
     try:
@@ -413,7 +415,10 @@ def _cmd_pseudospectrum(args):
     q = parse_symbol_spec(args.symbol)
     coarse_n = _coarse_degree(args.N)
     window = _parse_floats(args.window, 4, "--window")
-    n_re, n_im = (int(v) for v in _parse_floats(args.res, 2, "--res"))
+    res = _parse_floats(args.res, 2, "--res")
+    if not all(1 <= v < math.inf for v in res):
+        raise DomainError(f"--res counts must be finite and >= 1, got {args.res}")
+    n_re, n_im = (int(v) for v in res)
     op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
     re_axis, im_axis, grid = pseudospectrum_grid(op, window, (n_re, n_im))
     rows = [

@@ -1,8 +1,9 @@
 """Finite Hermite-basis truncations of quadratic Weyl operators.
 
 Quadratic symbols act on the harmonic-oscillator eigenbasis with total-degree
-bandwidth at most 2, so the Galerkin matrix is computed exactly (up to
-rounding) from ladder operators assembled on a once-extended index set.
+bandwidth at most 2; ``quantize_quadratic`` assembles the Galerkin matrix in
+closed form from the normal-ordered ladder terms of the symbol, each of which
+sends a basis vector to one basis vector with a factor sqrt(integer).
 Eigenvalues of the truncation inside the numerical range of a strongly
 non-normal symbol can be spurious; spectra and resolvent norms should
 always be compared across two truncation levels.
@@ -34,7 +35,6 @@ infinite norm, the infinity signal.  Spectra (``spectrum_truncated``) use
 a dense eigensolver.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,7 +42,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalFailureError
+from .errors import DomainError, NumericalFailureError
+from .lattice import _simplex_indices
 
 __all__ = [
     "HermiteTruncation",
@@ -63,16 +64,13 @@ _LANCZOS_TOL = 1e-10
 
 
 def multi_indices(dim, degree):
-    """Multi-indices with |k| <= degree in graded lexicographic order."""
-    out = []
-    for total in range(degree + 1):
-        block = [
-            k
-            for k in itertools.product(range(total + 1), repeat=dim)
-            if sum(k) == total
-        ]
-        out.extend(sorted(block))
-    return out
+    """(n, dim) int array of the multi-indices with |k| <= degree, graded-lex.
+
+    The simplex sum_j (1 + 2 k_j) / 2 <= degree + dim / 2 is enumerated in
+    lexicographic order, which a stable sort by |k| keeps within each degree.
+    """
+    k = _simplex_indices(np.full(dim, 0.5), degree + dim / 2)
+    return k[np.argsort(k.sum(1), kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,8 @@ class HermiteTruncation:
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise DomainError(f"h must be positive and finite, got {self.h}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 
@@ -97,9 +95,6 @@ class HermiteTruncation:
     def energy_cutoff(self):
         """Trust-region heuristic: oscillator energy reached at the cutoff."""
         return self.h * (self.degree + self.dim)
-
-    def indices(self):
-        return multi_indices(self.dim, self.degree)
 
 
 @dataclass(frozen=True)
@@ -122,58 +117,53 @@ class TruncatedWeylOperator:
         moves |k| by -2, 0 or +2, so the matrix has no entries between the
         two parities and these blocks hold all of it.
         """
-        d, N = self.trunc.dim, self.trunc.degree
-        counts = [math.comb(t + d - 1, d - 1) for t in range(N + 1)]
-        parity = np.repeat(np.arange(N + 1) % 2, counts)
+        parity = multi_indices(self.trunc.dim, self.trunc.degree).sum(1) % 2
         return tuple(self.matrix[sel][:, sel] for sel in (parity == 0, parity == 1))
-
-
-def _ladder_ops(dim, degree, h):
-    """Basis size and position/scaled-derivative matrices on |k| <= degree.
-
-    a_j maps basis vector k to sqrt(k_j) times k - e_j.  The targets are the
-    indices with |k| <= degree - 1, a prefix of the graded order, and
-    k -> k - e_j keeps that order, so row i of a_j holds one entry, in the
-    column of the i-th index with k_j >= 1.
-    """
-    idx = np.array(multi_indices(dim, degree), dtype=np.int64)
-    n = len(idx)
-    n_low = math.comb(degree - 1 + dim, dim)
-    indptr = np.minimum(np.arange(n + 1), n_low)
-    xs, ps = [], []
-    c = math.sqrt(h / 2.0)
-    for j in range(dim):
-        cols = np.flatnonzero(idx[:, j] >= 1)
-        a = sp.csr_matrix((np.sqrt(idx[cols, j].astype(float)), cols, indptr), shape=(n, n))
-        ad = a.T
-        xs.append(c * (a + ad))
-        ps.append(-1j * c * (a - ad))
-    return n, xs + ps
 
 
 def quantize_quadratic(q, trunc):
     """Galerkin matrix of the Weyl operator of a quadratic symbol.
 
-    Each monomial X_i X_j quantizes to the symmetrized product of the
-    corresponding position/derivative operators.  Products are formed on
-    the basis extended by two degrees so that every kept entry is the
-    exact operator matrix element.
+    x_j = c(a_j + a_j^+) and hD_j = -ic(a_j - a_j^+) with c^2 = h/2.  From
+    the blocks xx, xp, px, pp of (h/2) A, entrywise so that cancelling
+    coefficients are exactly 0, P = xx - pp - i(xp + px),
+    Q = xx - pp + i(xp + px) and R = xx + pp + i(px - xp).  a_m a_l sends
+    |k> to sqrt(k_l (k_m - d_ml)) |k - e_m - e_l>, a_m^+ a_l (m != l) to
+    sqrt(k_l (k_m + 1)) |k + e_m - e_l>, and a_m^+ a_l^+ fills the
+    transposed positions of a_m a_l: no extended basis is needed.
     """
     if q.dim != trunc.dim:
         raise ValueError("symbol and truncation dimensions differ")
-    d, N, h = trunc.dim, trunc.degree, trunc.h
-    n_ext, ops = _ladder_ops(d, N + 2, h)
-    A = q.matrix
-    M = sp.csr_matrix((n_ext, n_ext), dtype=complex)
-    for i in range(2 * d):
-        for j in range(i, 2 * d):
-            coeff = A[i, j] if i == j else 2.0 * A[i, j]
-            if coeff == 0:
-                continue
-            M = M + coeff * (ops[i] @ ops[j] + ops[j] @ ops[i]) * 0.5
-    # graded order makes the degree-N basis a prefix of the extended one
-    n = trunc.size
-    return TruncatedWeylOperator(trunc, M[:n, :n].tocsc())
+    d, N = trunc.dim, trunc.degree
+    k = multi_indices(d, N)
+    At = (0.5 * trunc.h) * q.matrix
+    xx, xp, px, pp = At[:d, :d], At[:d, d:], At[d:, :d], At[d:, d:]
+    P = xx - pp - 1j * (xp + px)
+    Q = xx - pp + 1j * (xp + px)
+    R = xx + pp + 1j * (px - xp)
+    # the code (|k|, k_1, ..., k_d) in base N + 1 increases along graded order
+    w = (N + 1) ** np.arange(d, -1, -1)
+    code = np.column_stack((k.sum(1), k)) @ w
+
+    diag = sum(R[m, m] * (2 * k[:, m] + 1) for m in range(d))
+    entries = [(np.arange(len(k)), np.arange(len(k)), diag)]
+    for m in range(d):
+        for l in range(d):
+            if l >= m:  # a_m a_l, and a_m^+ a_l^+ on the transposed positions
+                f = k[:, l] * (k[:, m] - (m == l))
+                src = np.flatnonzero(f > 0)
+                tgt = np.searchsorted(code, code[src] - 2 * w[0] - w[1 + m] - w[1 + l])
+                s = (1.0 if m == l else 2.0) * np.sqrt(f[src])
+                entries += [(tgt, src, P[m, l] * s), (src, tgt, Q[m, l] * s)]
+            if l != m:  # a_m^+ a_l; the m == l terms and tr R make up diag
+                src = np.flatnonzero(k[:, l] > 0)
+                f = k[src, l] * (k[src, m] + 1)
+                tgt = np.searchsorted(code, code[src] + w[1 + m] - w[1 + l])
+                entries.append((tgt, src, 2.0 * R[m, l] * np.sqrt(f)))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
+    keep = vals != 0
+    M = sp.csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=(len(k),) * 2, dtype=complex)
+    return TruncatedWeylOperator(trunc, M)
 
 
 def spectrum_truncated(op, count):
@@ -230,16 +220,19 @@ def resolvent_norm(op, z):
     Returns ``inf`` (the infinity signal) when sigma_min falls below
     1e-14 * ||M||_F, i.e. when z is numerically an eigenvalue.  Uses a
     dense SVD up to ``DENSE_SVD_CUTOFF`` basis size and, beyond it, sparse
-    LU with Lanczos on each parity block.
+    LU with Lanczos on each parity block.  A non-finite z raises DomainError.
     """
+    z = complex(z)
+    if not np.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     M = op.matrix
     n = M.shape[0]
     if n <= DENSE_SVD_CUTOFF:
-        B = op.dense - complex(z) * np.eye(n)
+        B = op.dense - z * np.eye(n)
         smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     else:
         smin = min(
-            _sigma_min_sparse(b - complex(z) * sp.identity(b.shape[0], dtype=complex, format="csc"))
+            _sigma_min_sparse(b - z * sp.identity(b.shape[0], dtype=complex, format="csc"))
             for b in op.parity_blocks
         )
     scale = float(np.linalg.norm(M.data))

@@ -42,6 +42,17 @@ def test_parse_reports_json_line(tmp_path):
         parse_symbol_spec(str(bad))
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_non_finite_coefficient(tmp_path, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"dim": 1, "terms": [{"alpha": [2], "beta": [0], "re": 1.0, "im": %s},'
+        ' {"alpha": [0], "beta": [2], "re": 1.0}]}' % value
+    )
+    with pytest.raises(SymbolSchemaError, match="not finite"):
+        parse_symbol_spec(str(bad))
+
+
 def test_cli_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 1, "terms": [{"alpha": [1], "beta": [], "re": 1.0}]}')
@@ -286,6 +297,16 @@ def test_cli_resolvent(capsys):
     assert out["rel_change"] < 1e-9
 
 
+@pytest.mark.parametrize("h, z", [("inf", "1,0"), ("nan", "1,0"), ("0.1", "nan,0"), ("0.1", "1,inf")])
+@pytest.mark.parametrize("symbol", ["davies.json", "kfp.json"])  # n = 31 dense, 496 sparse
+def test_cli_resolvent_rejects_non_finite_h_and_z(capsys, symbol, h, z):
+    argv = ["resolvent", "--symbol", symbol, "--h", h, "--N", "30", "--z", z]
+    assert run(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "DomainError"
+    assert ("h must" if h != "0.1" else "z must") in payload["message"]
+
+
 @pytest.mark.parametrize("kind", ["no_convergence", "error"])
 def test_cli_arpack_failure_exit_code(capsys, monkeypatch, kind):
     import scipy.sparse.linalg as spla
@@ -383,6 +404,17 @@ def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):
     svg = svg_path.read_text()
     shades = [int(m, 16) for m in re.findall(r'fill="#([0-9a-f]{2})[0-9a-f]{4}"', svg)]
     assert shades == sorted(shades)  # darkest (smallest) near 0.11, brightening away
+
+
+@pytest.mark.parametrize("res", ["0,3", "3,0", "0.5,3", "inf,3", "nan,3"])
+def test_cli_pseudospectrum_rejects_empty_or_unbounded_grid(tmp_path, capsys, res):
+    csv_path = tmp_path / "grid.csv"
+    argv = ["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1", "--N", "8",
+            "--window", "0,1,0,1", "--res", res, "--out", str(csv_path)]
+    assert run(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "DomainError"
+    assert not csv_path.exists()
 
 
 def test_cli_probe_theorem_small(tmp_path, capsys):

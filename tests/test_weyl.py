@@ -21,35 +21,56 @@ def ladder_matrices_1d(size, h):
     return x, p
 
 
+def graded_lex(dim, degree):
+    """Reference multi-indices with |k| <= degree, by degree, then lexicographic."""
+    box = itertools.product(range(degree + 1), repeat=dim)
+    return sorted((k for k in box if sum(k) <= degree), key=lambda k: (sum(k), k))
+
+
 def test_multi_index_count():
     from dcspec.weyl import multi_indices
 
     for d in (1, 2, 3):
         for N in (0, 3, 7):
             idx = multi_indices(d, N)
-            assert len(idx) == math.comb(N + d, d)
-            assert len(set(idx)) == len(idx)
-            assert all(sum(k) <= N for k in idx)
+            assert idx.shape == (math.comb(N + d, d), d)
+            assert [tuple(k) for k in idx.tolist()] == graded_lex(d, N)
 
 
-@pytest.mark.parametrize("dim, degree", [(1, 0), (1, 5), (2, 6), (3, 5)])
-def test_ladder_ops_against_index_loop(dim, degree):
-    # a_j |k> = sqrt(k_j) |k - e_j>, placed by a position lookup per entry
-    from dcspec.weyl import _ladder_ops, multi_indices
+def kron_galerkin(q, N, h):
+    """Symmetrized <X, A X> from Kronecker products of 1-d ladder matrices.
 
-    h = 0.3
-    idx = multi_indices(dim, degree)
-    pos = {k: i for i, k in enumerate(idx)}
-    n, ops = _ladder_ops(dim, degree, h)
-    assert n == len(idx)
-    c = math.sqrt(h / 2)
-    for j in range(dim):
-        a = np.zeros((n, n))
-        for k in idx:
-            if k[j] >= 1:
-                a[pos[k[:j] + (k[j] - 1,) + k[j + 1:]], pos[k]] = math.sqrt(k[j])
-        assert np.array_equal(ops[j].toarray(), c * (a + a.T))
-        assert np.array_equal(ops[dim + j].toarray(), -1j * c * (a - a.T))
+    Products are formed on the (N + 3)^d box, so every entry between
+    indices with |k| <= N is exact; those are kept, in graded-lex order.
+    """
+    d, size = q.dim, N + 3
+    eye = sp.identity(size, format="csr")
+
+    def in_slot(m, j):
+        out = sp.identity(1, format="csr")
+        for i in range(d):
+            out = sp.kron(out, sp.csr_matrix(m) if i == j else eye, format="csr")
+        return out
+
+    x1, p1 = ladder_matrices_1d(size, h)
+    ops = [in_slot(x1, j) for j in range(d)] + [in_slot(p1, j) for j in range(d)]
+    A = q.matrix
+    M = sum(A[i, j] * (ops[i] @ ops[j] + ops[j] @ ops[i]) / 2
+            for i in range(2 * d) for j in range(2 * d))
+    keep = [np.ravel_multi_index(k, (size,) * d) for k in graded_lex(d, N)]
+    return M[keep][:, keep].toarray()
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 0), (1, 6), (2, 1), (2, 6), (3, 4), (3, 6)])
+def test_quantize_random_forms_against_kron_oracle(dim, degree):
+    from conftest import random_complex_form
+
+    rng = np.random.default_rng(100 * dim + degree)
+    for h in (0.3, 1.7):
+        q = random_complex_form(rng, dim)
+        M = dc.quantize_quadratic(q, dc.HermiteTruncation(dim, degree, h)).matrix.toarray()
+        want = kron_galerkin(q, degree, h)
+        assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_harmonic_oscillator_is_diagonal(harmonic):
@@ -326,3 +347,83 @@ def test_energy_cutoff_and_degree_suggestion():
     assert tr.energy_cutoff == pytest.approx(0.5 * 32)
     assert tr.size == math.comb(32, 2)
     assert dc.suggested_degree(0.5, 0.05, 2) == max(24, math.ceil(2 * 0.5 * 2.0 / 0.05 - 2))
+
+
+def mp_galerkin_blocks(q, N, h):
+    """The Galerkin matrix at 30 digits from exact ladder elements, per parity.
+
+    a_j |k> = sqrt(k_j) |k - e_j> and a_j^+ |k> = sqrt(k_j + 1) |k + e_j>,
+    x_j = c (a_j + a_j^+), hD_j = -i c (a_j - a_j^+) with c = sqrt(h/2), and
+    <X, A X> acts as sum_ij A_ij O_i O_j on each basis vector.  Returns the
+    even and odd blocks, rows and columns in graded-lex order.
+    """
+    import mpmath as mp
+
+    d = q.dim
+    c = mp.sqrt(mp.mpf(h) / 2)
+
+    def apply(i, state):
+        j = i % d
+        lower, upper = (c, c) if i < d else (-1j * c, 1j * c)
+        out = {}
+        for k, v in state.items():
+            if k[j] >= 1:
+                down = k[:j] + (k[j] - 1,) + k[j + 1:]
+                out[down] = out.get(down, 0) + lower * mp.sqrt(k[j]) * v
+            up = k[:j] + (k[j] + 1,) + k[j + 1:]
+            out[up] = out.get(up, 0) + upper * mp.sqrt(k[j] + 1) * v
+        return out
+
+    basis = graded_lex(d, N)
+    A = [[mp.mpc(v.real, v.imag) for v in row] for row in q.matrix]
+    blocks = []
+    for parity in (0, 1):
+        keys = [k for k in basis if sum(k) % 2 == parity]
+        pos = {k: r for r, k in enumerate(keys)}
+        B = mp.zeros(len(keys))
+        for col, k in enumerate(keys):
+            for i in range(2 * d):
+                for j in range(2 * d):
+                    if A[i][j] != 0:
+                        for t, v in apply(i, apply(j, {k: 1})).items():
+                            if t in pos:
+                                B[pos[t], col] += A[i][j] * v
+        blocks.append(B)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "q, N, h", [(davies_form(1.0), 30, 1.0), (kfp_form(1.0), 6, 1.0)], ids=["davies-31", "kfp-28"]
+)
+def test_sigma_min_against_mpmath_svd(q, N, h):
+    # shifts 2% from the lowest eigenvalues, where sigma_min is smallest
+    # relative to ||M||; both engines against a 30-digit SVD per parity block
+    import mpmath as mp
+    from dcspec.weyl import _sigma_min_sparse
+
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+    lowest = sorted(np.linalg.eigvals(op.dense), key=abs)[:3]
+    with mp.workdps(30):
+        exact = mp_galerkin_blocks(q, N, h)
+        for lam, t in zip(lowest, (0.4, 2.0, 4.1)):
+            z = lam * (1 + 0.02 * np.exp(1j * t))
+            want = []
+            for B, b in zip(exact, op.parity_blocks):
+                shifted = B - mp.mpc(z.real, z.imag) * mp.eye(B.rows)
+                want.append(float(min(mp.svd_c(shifted, compute_uv=False))))
+                got = _sigma_min_sparse(b - z * sp.identity(b.shape[0], format="csc"))
+                assert got == pytest.approx(want[-1], rel=1e-9)
+            assert 1.0 / dc.resolvent_norm(op, z) == pytest.approx(min(want), rel=1e-9)
+
+
+def test_non_finite_h_and_z_rejected(harmonic):
+    from dcspec.errors import DomainError
+
+    for h in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            dc.HermiteTruncation(1, 5, h)
+    for N in (20, 200):  # dense and sparse path
+        op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, N, 0.1))
+        for z in (complex(math.nan, 0), complex(0.2, math.inf), math.nan):
+            with pytest.raises(DomainError):
+                dc.resolvent_norm(op, z)
