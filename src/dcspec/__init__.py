@@ -46,6 +46,7 @@ from .lattice import (
     excluded_area_fraction,
     exclusion_discs,
     lattice_points,
+    sample_admissible,
     schedules,
     simplex_volume,
     stable_eigenvalues,
@@ -79,6 +80,7 @@ from .fbi import (
 from .weyl import (
     HermiteTruncation,
     TruncatedWeylOperator,
+    probe_theorem,
     pseudospectrum_grid,
     quantize_quadratic,
     resolvent_norm,

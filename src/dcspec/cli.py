@@ -1,7 +1,9 @@
-"""Command-line front end: symbol ingestion, grids, probes, SVG export.
+"""Command-line front end: argument parsing, symbol files, CSV/SVG/JSON output.
 
-Exit codes: 0 success, 2 schema/precondition problems, 3 numerical
-failures, 4 degenerate Hamilton spectra.  Errors are emitted on stderr as
+Exit codes come from one table, ``EXIT_CODES``: 0 success, 2 schema,
+domain and precondition problems, 3 numerical failures (including LAPACK
+errors), 4 degenerate Hamilton spectra.  Any other exception is an
+internal error and propagates.  Errors are emitted on stderr as
 single-line JSON objects so harnesses can assert on reasons rather than
 message text.  All outputs are byte-deterministic for a fixed command
 line, seed and BLAS thread count; CSV floats carry 17 significant digits.
@@ -21,7 +23,6 @@ from .errors import (
     DomainError,
     NumericalFailureError,
     SymbolSchemaError,
-    PreconditionError,
 )
 from .symplectic import build_quadratic_form, hamilton_map
 from .singular import averaged_real_part, singular_space
@@ -51,16 +52,26 @@ from .fbi import (
 )
 from .weyl import (
     HermiteTruncation,
+    probe_theorem,
     pseudospectrum_grid,
     quantize_quadratic,
     resolvent_norm,
-    suggested_degree,
 )
 
 QUADRATIC_PROBE_NOTE = (
     "probe uses purely quadratic symbols at desk scale; "
     "resolvent bounds for general bounded symbols are out of scope"
 )
+SVG_SIZE = 640  # width and height of the SVG documents, in pixels
+
+# exception class -> exit code, most specific first.  LinAlgError (a ValueError) is
+# a LAPACK failure; any other exception, ValueError included, is an internal error
+EXIT_CODES = {
+    NumericalFailureError: 3,
+    np.linalg.LinAlgError: 3,
+    DegenerateSpectrumError: 4,
+    DcspecError: 2,
+}
 
 
 def _fmt(x):
@@ -82,8 +93,6 @@ def _write_csv(path, header, rows):
             return "1" if v else "0"
         if isinstance(v, float):
             return _fmt(v)
-        if isinstance(v, int):
-            return str(v)
         return str(v)
 
     lines = [",".join(header)]
@@ -99,11 +108,24 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------- symbols
 
 
-def _resolve_symbol_path(path):
+def _read_json_object(path):
+    """The JSON object in a file with a positive integer 'dim'; other
+    content, unreadable files and malformed JSON raise SymbolSchemaError."""
     try:
-        return bundled_symbol_path(path)
-    except FileNotFoundError:
-        return path
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SymbolSchemaError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SymbolSchemaError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise SymbolSchemaError(f"{path}: need a JSON object")
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or dim < 1:
+        raise SymbolSchemaError(f"{path}: 'dim' must be a positive integer")
+    return doc
 
 
 def parse_symbol_spec(path):
@@ -113,24 +135,12 @@ def parse_symbol_spec(path):
     "re": r, "im": i}, ...]} with length-d multi-indices of total degree 2.
     Bundled names like ``kfp.json`` resolve to the packaged files.
     """
-    path = _resolve_symbol_path(path)
     try:
-        with open(path) as f:
-            raw = f.read()
-    except OSError as exc:
-        raise SymbolSchemaError(f"cannot read symbol file {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SymbolSchemaError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or "dim" not in doc or "terms" not in doc:
-        raise SymbolSchemaError(f"{path}: need an object with 'dim' and 'terms'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SymbolSchemaError(f"{path}: 'dim' must be a positive integer")
-    if not isinstance(doc["terms"], list):
+        path = bundled_symbol_path(path)
+    except FileNotFoundError:
+        pass
+    doc = _read_json_object(path)
+    if not isinstance(doc.get("terms"), list):
         raise SymbolSchemaError(f"{path}: 'terms' must be a list")
     coeffs = {}
     for i, term in enumerate(doc["terms"]):
@@ -140,14 +150,14 @@ def parse_symbol_spec(path):
             alpha = tuple(int(a) for a in term["alpha"])
             beta = tuple(int(b) for b in term["beta"])
             value = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SymbolSchemaError(f"{path}: term {i} malformed: {exc}") from exc
         if not np.isfinite(value):
             raise SymbolSchemaError(f"{path}: term {i} coefficient {value} is not finite")
         key = (alpha, beta)
         coeffs[key] = coeffs.get(key, 0.0) + value
     try:
-        return build_quadratic_form(dim, coeffs)
+        return build_quadratic_form(doc["dim"], coeffs)
     except SymbolSchemaError as exc:
         raise SymbolSchemaError(f"{path}: {exc}") from exc
 
@@ -165,112 +175,99 @@ def _matrix_from_json(doc, key, dim, path):
         raise SymbolSchemaError(f"{path}: block {key!r} malformed: {exc}") from exc
     if M.shape != (dim, dim):
         raise SymbolSchemaError(f"{path}: block {key!r} must be {dim}x{dim}")
+    if not np.isfinite(M).all():
+        raise SymbolSchemaError(f"{path}: block {key!r} has a non-finite entry")
     return M
 
 
 def _load_block_doc(path, keys):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise SymbolSchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SymbolSchemaError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise SymbolSchemaError(f"{path}: 'dim' must be a positive integer")
-    return dim, {k: _matrix_from_json(doc, k, dim, path) for k in keys}
+    doc = _read_json_object(path)
+    return doc["dim"], {k: _matrix_from_json(doc, k, doc["dim"], path) for k in keys}
 
 
 # ---------------------------------------------------------------- SVG
 
 
-def _svg_header(width, height):
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+def _svg_document(elements):
+    """A square SVG_SIZE document around ``elements``, in their fixed order."""
+    n = SVG_SIZE
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{n}" '
+        f'height="{n}" viewBox="0 0 {n} {n}">'
     )
+    return "\n".join([head, *elements, "</svg>"]) + "\n"
 
 
-def export_svg(rows, style, geometry=None, size=640):
-    """Render a grid to a deterministic SVG document.
+def region_svg(outer, inner, rexc, lattice):
+    """Admissibility geometry as a deterministic SVG document.
 
-    ``style`` is "region" (admissibility geometry: grey annulus, dashed
-    boundary, white exclusion discs, lattice markers; requires ``geometry``
-    with outer/inner/exclusion radii and lattice points) or "heat"
-    (pseudospectrum shading from rows of (re, im, log10norm)).  Element
-    order is fixed so identical inputs give identical bytes.
+    A grey annulus between the ``inner`` and ``outer`` radii with dashed
+    boundaries, a white exclusion disc of radius ``rexc`` around every
+    point of ``lattice`` and a black marker on each.
     """
-    if style not in ("region", "heat"):
-        raise ValueError(f"unknown SVG style {style!r}")
-    parts = [_svg_header(size, size)]
-    if style == "region" and geometry is not None:
-        outer = geometry["outer_radius"]
-        inner = geometry.get("inner_radius") or 0.0
-        rexc = geometry["exclusion_radius"]
-        lat = geometry.get("lattice", [])
-        scale = (size * 0.45) / outer
-        cx = cy = size / 2.0
+    scale = (SVG_SIZE * 0.45) / outer
+    cx = cy = SVG_SIZE / 2.0
 
-        def px(z):
-            return cx + z.real * scale, cy - z.imag * scale
+    def px(z):
+        return cx + z.real * scale, cy - z.imag * scale
 
-        # annulus with hole via even-odd fill
+    # annulus with hole via even-odd fill
+    parts = [
+        f'<path fill="#cccccc" fill-rule="evenodd" stroke="none" d="'
+        f"M {cx + outer * scale:.6g} {cy:.6g} "
+        f"A {outer * scale:.6g} {outer * scale:.6g} 0 1 0 {cx - outer * scale:.6g} {cy:.6g} "
+        f"A {outer * scale:.6g} {outer * scale:.6g} 0 1 0 {cx + outer * scale:.6g} {cy:.6g} Z "
+        f"M {cx + inner * scale:.6g} {cy:.6g} "
+        f"A {inner * scale:.6g} {inner * scale:.6g} 0 1 0 {cx - inner * scale:.6g} {cy:.6g} "
+        f"A {inner * scale:.6g} {inner * scale:.6g} 0 1 0 {cx + inner * scale:.6g} {cy:.6g} Z"
+        f'"/>',
+        f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="{outer * scale:.6g}" '
+        f'fill="none" stroke="#444444" stroke-dasharray="6,4"/>',
+    ]
+    if inner > 0:
         parts.append(
-            f'<path fill="#cccccc" fill-rule="evenodd" stroke="none" d="'
-            f"M {cx + outer * scale:.6g} {cy:.6g} "
-            f"A {outer * scale:.6g} {outer * scale:.6g} 0 1 0 {cx - outer * scale:.6g} {cy:.6g} "
-            f"A {outer * scale:.6g} {outer * scale:.6g} 0 1 0 {cx + outer * scale:.6g} {cy:.6g} Z "
-            f"M {cx + inner * scale:.6g} {cy:.6g} "
-            f"A {inner * scale:.6g} {inner * scale:.6g} 0 1 0 {cx - inner * scale:.6g} {cy:.6g} "
-            f"A {inner * scale:.6g} {inner * scale:.6g} 0 1 0 {cx + inner * scale:.6g} {cy:.6g} Z"
-            f'"/>'
-        )
-        parts.append(
-            f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="{outer * scale:.6g}" '
+            f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="{inner * scale:.6g}" '
             f'fill="none" stroke="#444444" stroke-dasharray="6,4"/>'
         )
-        if inner > 0:
-            parts.append(
-                f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="{inner * scale:.6g}" '
-                f'fill="none" stroke="#444444" stroke-dasharray="6,4"/>'
-            )
-        for z in lat:
-            x, y = px(z)
-            parts.append(
-                f'<circle class="exclusion" cx="{x:.6g}" cy="{y:.6g}" '
-                f'r="{rexc * scale:.6g}" fill="#ffffff" stroke="#888888"/>'
-            )
-        for z in lat:
-            x, y = px(z)
-            parts.append(
-                f'<circle class="lattice" cx="{x:.6g}" cy="{y:.6g}" r="2.5" fill="#000000"/>'
-            )
-    elif style == "heat" and rows:
-        res = sorted({float(r[0]) for r in rows})
-        ims = sorted({float(r[1]) for r in rows})
-        finite = [float(r[2]) for r in rows if math.isfinite(float(r[2]))]
-        lo = min(finite) if finite else 0.0
-        hi = max(finite) if finite else 1.0
-        span = hi - lo if hi > lo else 1.0
-        w = size / max(len(res), 1)
-        hh = size / max(len(ims), 1)
-        col = {v: i for i, v in enumerate(res)}
-        rowi = {v: i for i, v in enumerate(ims)}
-        for re, im, val in rows:
-            v = float(val)
-            t = 1.0 if not math.isfinite(v) else (v - lo) / span
-            shade = int(round(255 * (1.0 - t)))
-            x = col[float(re)] * w
-            y = (len(ims) - 1 - rowi[float(im)]) * hh
-            parts.append(
-                f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" height="{hh:.6g}" '
-                f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    for z in lattice:
+        x, y = px(z)
+        parts.append(
+            f'<circle class="exclusion" cx="{x:.6g}" cy="{y:.6g}" '
+            f'r="{rexc * scale:.6g}" fill="#ffffff" stroke="#888888"/>'
+        )
+    for z in lattice:
+        x, y = px(z)
+        parts.append(
+            f'<circle class="lattice" cx="{x:.6g}" cy="{y:.6g}" r="2.5" fill="#000000"/>'
+        )
+    return _svg_document(parts)
+
+
+def heat_svg(rows):
+    """Pseudospectrum shading from rows of (re, im, log10norm) as a
+    deterministic SVG document; darker is larger, infinite is black."""
+    res = sorted({float(r[0]) for r in rows})
+    ims = sorted({float(r[1]) for r in rows})
+    finite = [float(r[2]) for r in rows if math.isfinite(float(r[2]))]
+    lo = min(finite) if finite else 0.0
+    hi = max(finite) if finite else 1.0
+    span = hi - lo if hi > lo else 1.0
+    w = SVG_SIZE / max(len(res), 1)
+    hh = SVG_SIZE / max(len(ims), 1)
+    col = {v: i for i, v in enumerate(res)}
+    rowi = {v: i for i, v in enumerate(ims)}
+    parts = []
+    for re, im, val in rows:
+        v = float(val)
+        t = 1.0 if not math.isfinite(v) else (v - lo) / span
+        shade = int(round(255 * (1.0 - t)))
+        x = col[float(re)] * w
+        y = (len(ims) - 1 - rowi[float(im)]) * hh
+        parts.append(
+            f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" height="{hh:.6g}" '
+            f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
+        )
+    return _svg_document(parts)
 
 
 # ---------------------------------------------------------------- commands
@@ -307,10 +304,21 @@ def _cmd_region(args):
     region = RegionSpec(
         h=args.h, C0=args.C0, C1=args.C1, dim=q.dim, inner_radius=args.inner
     )
+    (res,) = _grid_counts([args.res], "--res")
     lim = region.outer_radius * 1.1
-    axis = np.linspace(-lim, lim, args.res)
+    axis = np.linspace(-lim, lim, res)
     re, im = (g.ravel() for g in np.meshgrid(axis, axis))
     verdict = admissible(region, spec, re + 1j * im)
+    discs = exclusion_discs(region, spec)
+    # every result before the first write, so a failure leaves no partial output
+    summary = {
+        "F_of_h": region.f_value,
+        "exclusion_radius": region.exclusion_radius,
+        "outer_radius": region.outer_radius,
+        "inner_radius": region.inner_radius,
+        "excluded_area_fraction": excluded_area_fraction(region, spec, seed=args.seed),
+        "disc_count": len(discs),
+    }
     rows = list(
         zip(
             re.tolist(),
@@ -321,28 +329,11 @@ def _cmd_region(args):
         )
     )
     _write_csv(args.out, ["re", "im", "admissible", "dist", "reason"], rows)
-    discs = exclusion_discs(region, spec)
     if args.svg:
-        geometry = {
-            "outer_radius": region.outer_radius,
-            "inner_radius": region.inner_radius,
-            "exclusion_radius": region.exclusion_radius,
-            "lattice": discs,
-        }
         with open(args.svg, "w") as f:
-            f.write(export_svg(rows, "region", geometry=geometry))
-    _emit_json(
-        {
-            "F_of_h": region.f_value,
-            "exclusion_radius": region.exclusion_radius,
-            "outer_radius": region.outer_radius,
-            "inner_radius": region.inner_radius,
-            "excluded_area_fraction": excluded_area_fraction(
-                region, spec, seed=args.seed
-            ),
-            "disc_count": len(discs),
-        }
-    )
+            f.write(region_svg(region.outer_radius, region.inner_radius or 0.0,
+                               region.exclusion_radius, discs))
+    _emit_json(summary)
     return 0
 
 
@@ -392,8 +383,9 @@ def _cmd_phase(args):
 
 
 def _parse_floats(text, count, flag):
+    """Comma-separated floats; exactly ``count`` of them unless it is None."""
     parts = text.split(",")
-    if len(parts) != count:
+    if count is not None and len(parts) != count:
         raise SymbolSchemaError(f"{flag} needs {count} comma-separated numbers")
     try:
         return [float(p) for p in parts]
@@ -411,14 +403,18 @@ def _coarse_degree(N):
     return max(min(4, N - 1), N - 10)
 
 
+def _grid_counts(values, flag):
+    """Grid point counts of a CLI flag as ints; each must be an integer >= 1."""
+    if not all(float(v).is_integer() and v >= 1 for v in values):
+        raise DomainError(f"{flag} counts must be integers >= 1, got {values}")
+    return [int(v) for v in values]
+
+
 def _cmd_pseudospectrum(args):
     q = parse_symbol_spec(args.symbol)
     coarse_n = _coarse_degree(args.N)
     window = _parse_floats(args.window, 4, "--window")
-    res = _parse_floats(args.res, 2, "--res")
-    if not all(1 <= v < math.inf for v in res):
-        raise DomainError(f"--res counts must be finite and >= 1, got {args.res}")
-    n_re, n_im = (int(v) for v in res)
+    n_re, n_im = _grid_counts(_parse_floats(args.res, 2, "--res"), "--res")
     op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
     re_axis, im_axis, grid = pseudospectrum_grid(op, window, (n_re, n_im))
     rows = [
@@ -429,7 +425,7 @@ def _cmd_pseudospectrum(args):
     _write_csv(args.out, ["re", "im", "log10norm"], rows)
     if args.svg:
         with open(args.svg, "w") as f:
-            f.write(export_svg(rows, "heat"))
+            f.write(heat_svg(rows))
     op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
     _, _, grid2 = pseudospectrum_grid(op2, window, (n_re, n_im))
     both = np.isfinite(grid) & np.isfinite(grid2)
@@ -475,98 +471,16 @@ def _cmd_resolvent(args):
     return 0
 
 
-def sample_admissible(region, spec, count, rng, max_tries=100000):
-    """Seeded rejection sampler for admissible points in the annulus."""
-    inner = region.inner_radius or 0.0
-    outer = region.outer_radius
-    out = []
-    for _ in range(max_tries):
-        if len(out) >= count:
-            return out
-        u = rng.random()
-        theta = rng.random() * 2.0 * math.pi
-        r = math.sqrt(inner**2 + u * (outer**2 - inner**2))
-        z = r * complex(math.cos(theta), math.sin(theta))
-        if admissible(region, spec, z).admissible:
-            out.append(z)
-    raise NumericalFailureError(
-        f"could not sample {count} admissible points in {max_tries} tries"
-    )
-
-
-def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0,
-                  safety=2.0, converge_rtol=0.05, max_rounds=3):
-    """Resolvent norms at admissible points across an h-ladder, with fit.
-
-    For each h the truncation degree starts at the energy-cutoff suggestion
-    and grows by 10 until the sampled norms agree with the next level to
-    ``converge_rtol``; the returned rows use the finer level.  The fit is
-    the least-squares slope of log norm against log(1/h).
-    """
-    spec = stable_eigenvalues(hamilton_map(q))
-    rng = np.random.default_rng(seed)
-    rows = []
-    max_rel = 0.0
-    degrees = {}
-    for h in h_values:
-        region = RegionSpec(h=h, C0=C0, C1=C1, dim=q.dim, inner_radius=inner_mult * h)
-        zs = sample_admissible(region, spec, samples, rng)
-        degree = suggested_degree(region.outer_radius, h, q.dim, safety=safety)
-        op = quantize_quadratic(q, HermiteTruncation(q.dim, degree, h))
-        norms = np.array([resolvent_norm(op, z) for z in zs])
-        for _ in range(max_rounds):
-            finer = degree + 10
-            op_f = quantize_quadratic(q, HermiteTruncation(q.dim, finer, h))
-            norms_f = np.array([resolvent_norm(op_f, z) for z in zs])
-            ok = np.isfinite(norms) & np.isfinite(norms_f)
-            rel = (
-                float(np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))
-                if ok.any()
-                else math.inf
-            )
-            degree, norms = finer, norms_f
-            if rel <= converge_rtol:
-                break
-        else:
-            raise NumericalFailureError(
-                f"resolvent norms did not stabilize in N at h={h}"
-            )
-        max_rel = max(max_rel, rel)
-        degrees[h] = degree
-        rows.extend((h, z, float(nv)) for z, nv in zip(zs, norms))
-    finite = [r for r in rows if math.isfinite(r[2])]
-    if len(finite) >= 2 and len({r[0] for r in finite}) >= 2:
-        xs = np.log([1.0 / r[0] for r in finite])
-        ys = np.log([r[2] for r in finite])
-        exponent = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        # a growth exponent needs at least two distinct h values
-        exponent = math.nan
-    return rows, exponent, max_rel, degrees
-
-
 def _cmd_probe_theorem(args):
     q = parse_symbol_spec(args.symbol)
-    h_values = [float(p) for p in args.h_list.split(",") if p]
-    if not h_values:
-        raise SymbolSchemaError("--h-list must contain at least one value")
     rows, exponent, max_rel, degrees = probe_theorem(
-        q,
-        h_values,
-        C0=args.C0,
-        C1=args.C1,
-        inner_mult=args.inner_mult,
-        samples=args.samples,
-        seed=args.seed,
-        safety=args.safety,
+        q, _parse_floats(args.h_list, None, "--h-list"), C0=args.C0, C1=args.C1,
+        inner_mult=args.inner_mult, samples=args.samples, seed=args.seed, safety=args.safety,
     )
-    csv_rows = [
-        (h, z.real, z.imag, nv, True, exponent) for h, z, nv in rows
-    ]
     _write_csv(
         args.out,
         ["h", "z_re", "z_im", "norm", "admissible", "fit_exponent"],
-        csv_rows,
+        [(h, z.real, z.imag, nv, True, exponent) for h, z, nv in rows],
     )
     _emit_json(
         {
@@ -659,22 +573,12 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SymbolSchemaError, PreconditionError, ValueError) as exc:
+    except tuple(EXIT_CODES) as exc:
         _error_line(exc)
-        return 2
-    except NumericalFailureError as exc:
-        _error_line(exc)
-        return 3
-    except DegenerateSpectrumError as exc:
-        _error_line(exc)
-        return 4
-    except DcspecError as exc:
-        _error_line(exc)
-        return 2
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main():

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all dcspec modules.
 
-The CLI maps these onto process exit codes: input/precondition problems
-exit with 2, numerical failures with 3, degenerate spectra with 4.
+The CLI maps these onto process exit codes: input, domain and precondition
+problems exit with 2, numerical failures with 3, degenerate spectra with 4.
 """
 
 
@@ -22,8 +22,8 @@ class DeltaTooLargeError(PreconditionError):
 
 
 class DomainError(PreconditionError):
-    """A scalar parameter lies outside the domain where the formulas make sense
-    (typically h too large for an iterated logarithm to be positive)."""
+    """A scalar parameter is non-finite or lies outside the domain where the
+    formulas make sense (for example h too large for loglog(1/h) > 0)."""
 
 
 class InvalidPhaseError(PreconditionError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import frob
-from .errors import DegenerateSpectrumError, DomainError
+from .errors import DegenerateSpectrumError, DomainError, NumericalFailureError
 
 __all__ = [
     "LatticeSpectrum",
@@ -34,12 +34,14 @@ __all__ = [
     "admissible",
     "exclusion_discs",
     "excluded_area_fraction",
+    "sample_admissible",
     "schedules",
 ]
 
 REAL_EIGENVALUE_TOL = 1e-10
 DEDUP_RTOL = 1e-9
 MC_SAMPLES = 10**6
+SAMPLE_MAX_TRIES = 100000  # draws before sample_admissible gives up
 _DIST_BLOCK = 64  # z values per |z - lattice| temporary in dist_to_spectrum
 
 
@@ -92,7 +94,7 @@ def _simplex_indices(remu, bound):
     proportional to the number of rows rather than to the enclosing k-box.
     """
     if not math.isfinite(bound):
-        raise ValueError("enumeration bound must be finite")
+        raise DomainError(f"enumeration bound must be finite, got {bound}")
     slack = np.array([bound - float(np.sum(remu))])
     slack = slack[slack >= 0]
     ks = np.zeros((slack.size, 0), dtype=np.int64)
@@ -125,10 +127,10 @@ def _lattice_values(spec, h, radius):
     every such k; a relative margin of 1e-9 on it covers rounding and the
     modulus test then applies the exact cut.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
+    if not 0 <= radius < math.inf:
+        raise DomainError(f"radius must be finite and >= 0, got {radius}")
     ks = _simplex_indices(spec.mus.real, radius / h * (1 + 1e-9))
     vals = h * _weighted_sum(ks, spec.mus)
     return vals[_modulus(vals) <= radius * (1 + 1e-12)]
@@ -275,10 +277,10 @@ class RegionSpec:
             raise DomainError(
                 f"h = {self.h} too large: loglog(1/h) must be positive (h < 1/e)"
             )
-        if self.C0 <= 0 or self.C1 <= 0:
-            raise DomainError("C0 and C1 must be positive")
-        if self.inner_radius is not None and self.inner_radius < 0:
-            raise DomainError("inner_radius must be >= 0")
+        if not (0 < self.C0 < math.inf and 0 < self.C1 < math.inf):
+            raise DomainError(f"C0, C1 must be positive and finite, got {self.C0}, {self.C1}")
+        if self.inner_radius is not None and not 0 <= self.inner_radius < math.inf:
+            raise DomainError(f"inner_radius must be finite and >= 0, got {self.inner_radius}")
 
     @classmethod
     def with_f_value(cls, h, f_value, C1, dim, inner_radius=None):
@@ -342,6 +344,26 @@ def admissible(region, spec, z):
     return Admissibility(reason == "", reason, dist)
 
 
+def sample_admissible(region, spec, count, rng):
+    """Seeded rejection sampler for ``count`` admissible points in the annulus,
+    drawn one at a time, uniform in area, for at most SAMPLE_MAX_TRIES draws."""
+    inner = region.inner_radius or 0.0
+    outer = region.outer_radius
+    out = []
+    for _ in range(SAMPLE_MAX_TRIES):
+        if len(out) >= count:
+            return out
+        u = rng.random()
+        theta = rng.random() * 2.0 * math.pi
+        r = math.sqrt(inner**2 + u * (outer**2 - inner**2))
+        z = r * complex(math.cos(theta), math.sin(theta))
+        if admissible(region, spec, z).admissible:
+            out.append(z)
+    raise NumericalFailureError(
+        f"could not sample {count} admissible points in {SAMPLE_MAX_TRIES} tries"
+    )
+
+
 def exclusion_discs(region, spec):
     """Lattice points whose exclusion disc meets the region annulus,
     ordered by (|z|, Re, Im)."""
@@ -373,6 +395,8 @@ def excluded_area_fraction(region, spec, samples=MC_SAMPLES, seed=0):
     (guaranteed when twice the exclusion radius is below the minimal
     lattice gap) and falls back to seeded Monte Carlo otherwise.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     r = region.exclusion_radius
     inner = region.inner_radius or 0.0
     outer = region.outer_radius

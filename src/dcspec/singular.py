@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import sym, frob
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .symplectic import hamilton_map, phase_point
 
 __all__ = [
@@ -86,6 +86,8 @@ def singular_space(fmap, tolerance=DEFAULT_KERNEL_TOL):
     one; an empty basis encodes the trivial space.  The caller is expected
     to pass the Hamilton map of a form with Re q >= 0 (not enforced).
     """
+    if not 0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     n = 2 * fmap.dim
     ReF, ImF = fmap.real, fmap.imag
     blocks = []
@@ -114,8 +116,8 @@ def _flow_integrals(q, T):
     m + 1 of exp(T C), m = (2d)^2, hold int_0^T Phi and
     int_0^T (T - t) Phi exactly, up to the rounding of one expm.
     """
-    if T <= 0:
-        raise ValueError("averaging time T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError(f"averaging time T must be positive and finite, got {T}")
     H = 2.0 * hamilton_map(q).imag
     n = H.shape[0]
     m = n * n

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import sym, frob, symplectic_defect
-from .errors import DeltaTooLargeError
+from .errors import DeltaTooLargeError, DomainError
 from .singular import _flow_integrals
 from .symplectic import hamilton_map, standard_j
 
@@ -123,10 +123,14 @@ def averaging_identity_defect(q, T=1.0):
     return frob(lhs - (total / T - q.matrix.real))
 
 
+def _check_delta(delta):
+    if not 0 <= delta < np.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+
+
 def deformed_symbol(q, weight, delta):
     """Symbol coefficients after the contour shift X -> X + i delta H_G X."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     n = 2 * q.dim
     K = np.eye(n) + 1j * delta * weight.hamilton_matrix
     return DeformedSymbol(delta, sym(K.T @ q.matrix @ K))
@@ -152,8 +156,7 @@ def canonical_normalizer(weight, delta):
     H_G and stays symmetric with respect to the symplectic form, so the
     product is exactly canonical.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     H = weight.hamilton_matrix
     n = H.shape[0]
     if delta > 0 and delta >= delta_max(weight):

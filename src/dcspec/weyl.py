@@ -43,7 +43,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, NumericalFailureError
-from .lattice import _simplex_indices
+from .lattice import RegionSpec, _simplex_indices, sample_admissible, stable_eigenvalues
+from .symplectic import hamilton_map
 
 __all__ = [
     "HermiteTruncation",
@@ -55,12 +56,16 @@ __all__ = [
     "pseudospectrum_grid",
     "scaling_check",
     "suggested_degree",
+    "probe_theorem",
 ]
 
 DENSE_SVD_CUTOFF = 140
 INFINITY_SIGMA_RTOL = 1e-14
 # ARPACK residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
+MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
+PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
+PROBE_MAX_ROUNDS = 3  # probe_theorem: degree increases before giving up
 
 
 def multi_indices(dim, degree):
@@ -287,7 +292,63 @@ def scaling_check(q, h, h2, degree, fraction=0.25):
     return worst
 
 
-def suggested_degree(radius, h, dim, safety=2.0, floor=24):
-    """Truncation degree whose half energy cutoff covers ``radius * safety``."""
+def suggested_degree(radius, h, dim, safety=2.0):
+    """Truncation degree whose half energy cutoff covers ``radius * safety``,
+    at least MIN_DEGREE."""
+    if not 0 < safety < math.inf:
+        raise DomainError(f"safety must be positive and finite, got {safety}")
     need = math.ceil(2.0 * radius * safety / h - dim)
-    return max(floor, need)
+    return max(MIN_DEGREE, need)
+
+
+def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safety=2.0):
+    """Resolvent norms at admissible points across an h-ladder, with fit.
+
+    For each h the truncation degree starts at the energy-cutoff suggestion
+    and grows by 10 until the sampled norms agree with the next level to
+    PROBE_CONVERGE_RTOL, for at most PROBE_MAX_ROUNDS increases; the
+    returned rows use the finer level.  The fit is the least-squares slope
+    of log norm against log(1/h).
+    """
+    if samples < 1 or seed < 0:
+        raise DomainError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
+    spec = stable_eigenvalues(hamilton_map(q))
+    rng = np.random.default_rng(seed)
+    rows = []
+    max_rel = 0.0
+    degrees = {}
+    for h in h_values:
+        region = RegionSpec(h=h, C0=C0, C1=C1, dim=q.dim, inner_radius=inner_mult * h)
+        zs = sample_admissible(region, spec, samples, rng)
+        degree = suggested_degree(region.outer_radius, h, q.dim, safety=safety)
+        op = quantize_quadratic(q, HermiteTruncation(q.dim, degree, h))
+        norms = np.array([resolvent_norm(op, z) for z in zs])
+        for _ in range(PROBE_MAX_ROUNDS):
+            finer = degree + 10
+            op_f = quantize_quadratic(q, HermiteTruncation(q.dim, finer, h))
+            norms_f = np.array([resolvent_norm(op_f, z) for z in zs])
+            ok = np.isfinite(norms) & np.isfinite(norms_f)
+            rel = (
+                float(np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))
+                if ok.any()
+                else math.inf
+            )
+            degree, norms = finer, norms_f
+            if rel <= PROBE_CONVERGE_RTOL:
+                break
+        else:
+            raise NumericalFailureError(
+                f"resolvent norms did not stabilize in N at h={h}"
+            )
+        max_rel = max(max_rel, rel)
+        degrees[h] = degree
+        rows.extend((h, z, float(nv)) for z, nv in zip(zs, norms))
+    finite = [r for r in rows if math.isfinite(r[2])]
+    if len(finite) >= 2 and len({r[0] for r in finite}) >= 2:
+        xs = np.log([1.0 / r[0] for r in finite])
+        ys = np.log([r[2] for r in finite])
+        exponent = float(np.polyfit(xs, ys, 1)[0])
+    else:
+        # a growth exponent needs at least two distinct h values
+        exponent = math.nan
+    return rows, exponent, max_rel, degrees

@@ -13,7 +13,7 @@ import numpy as np
 
 import dcspec as dc
 from dcspec._linalg import sym
-from dcspec.cli import probe_theorem
+from dcspec import probe_theorem
 from conftest import (
     davies_form,
     family_form,

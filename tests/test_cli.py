@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dcspec as dc
-from dcspec.cli import export_svg, parse_symbol_spec, run
+from dcspec.cli import heat_svg, parse_symbol_spec, run
 from dcspec.errors import SymbolSchemaError
 from conftest import kfp_form
 
@@ -53,6 +53,13 @@ def test_parse_rejects_non_finite_coefficient(tmp_path, value):
         parse_symbol_spec(str(bad))
 
 
+def test_parse_rejects_overflowing_exponent(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "terms": [{"alpha": [1e400], "beta": [0], "re": 1.0}]}')
+    with pytest.raises(SymbolSchemaError, match="malformed"):
+        parse_symbol_spec(str(bad))
+
+
 def test_cli_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 1, "terms": [{"alpha": [1], "beta": [], "re": 1.0}]}')
@@ -93,6 +100,105 @@ def test_cli_numerical_failure_exit_code(capsys, monkeypatch):
     assert run(["singular-space", "--symbol", "kfp.json"]) == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "NumericalFailureError"
+
+
+def test_cli_lapack_failure_exit_code(capsys, monkeypatch):
+    import dcspec.cli as cli
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("Internal error in sqrtm")
+
+    monkeypatch.setattr(cli, "canonical_normalizer", boom)
+    assert run(["deform", "--symbol", "kfp.json", "--delta", "0.05"]) == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "LinAlgError"
+
+
+def test_cli_untyped_error_propagates(capsys, monkeypatch):
+    # a plain ValueError is an internal error: no exit code, no JSON line
+    import dcspec.cli as cli
+
+    def boom(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "averaged_real_part", boom)
+    with pytest.raises(ValueError, match="internal"):
+        run(["singular-space", "--symbol", "kfp.json"])
+    assert capsys.readouterr().err == ""
+
+
+_ALL_BAD = ("nan", "inf", "0", "-1")
+_NONNEG_BAD = ("nan", "inf", "-1")  # 0 is a valid value of these flags
+_BASE_ARGV = {
+    "singular-space": ["--symbol", "kfp.json"],
+    "spectrum": ["--symbol", "harmonic.json", "--h", "0.1", "--radius", "1"],
+    "region": ["--symbol", "wedge_model.json", "--h", "0.05", "--C0", "0.1047", "--C1", "10",
+               "--inner", "0.15", "--res", "9"],
+    "deform": ["--symbol", "kfp.json", "--delta", "0.05"],
+    "pseudospectrum": ["--symbol", "harmonic.json", "--h", "0.1", "--N", "8",
+                       "--window", "0,1,0,1", "--res", "3,3"],
+    "resolvent": ["--symbol", "harmonic.json", "--h", "0.1", "--N", "8", "--z", "0.2,0"],
+    "probe-theorem": ["--symbol", "kfp.json", "--C0", "0.15", "--C1", "10", "--h-list", "0.2",
+                      "--samples", "2"],
+}
+_BAD_VALUES = {
+    "singular-space": {"--T": _ALL_BAD, "--tol": _NONNEG_BAD},
+    "spectrum": {"--h": _ALL_BAD, "--radius": _NONNEG_BAD},
+    "region": {"--h": _ALL_BAD, "--C0": _ALL_BAD, "--C1": _ALL_BAD, "--inner": _NONNEG_BAD,
+               "--res": ("0", "-1"), "--seed": ("-1",)},
+    "deform": {"--T": _ALL_BAD, "--delta": _NONNEG_BAD},
+    "pseudospectrum": {"--h": _ALL_BAD, "--N": ("0", "-1"),
+                       "--window": ("nan,1,0,1", "0,inf,0,1"), "--res": ("nan,3", "0,3")},
+    "resolvent": {"--h": _ALL_BAD, "--N": ("0", "-1"), "--z": ("nan,0", "0,inf")},
+    "probe-theorem": {"--C0": _ALL_BAD, "--C1": _ALL_BAD, "--h-list": _ALL_BAD,
+                      "--inner-mult": _NONNEG_BAD, "--samples": ("0", "-1"),
+                      "--seed": ("-1",), "--safety": _ALL_BAD},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for c, flags in _BAD_VALUES.items() for f, vals in flags.items() for v in vals],
+)
+def test_cli_bad_numeric_flag_is_domain_error(capsys, command, flag, value):
+    argv = [command] + _BASE_ARGV[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no partial CSV or summary before the error
+    payload = json.loads(captured.err.strip().splitlines()[-1])
+    assert payload["error"] == "DomainError"
+
+
+def test_cli_bad_numeric_flag_base_argv_runs(capsys):
+    # the sweep above changes one flag of argument vectors that succeed
+    for command, argv in _BASE_ARGV.items():
+        assert run([command] + argv) == 0
+
+
+@pytest.mark.parametrize("flag", ["--phi", "--kappa"])
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"dim": 1, "xx": [[[1e400, 0]]], "xy": [[[0, -1]]], "yy": [[[0, 1]]],'
+    ' "A": [[[1e400, 0]]], "B": [[[0, -1]]], "C": [[[0, 0]]], "D": [[[1, 0]]]}',
+])
+def test_cli_phase_rejects_malformed_block_file(tmp_path, capsys, flag, text):
+    f = tmp_path / "blocks.json"
+    f.write_text(text)
+    assert run(["phase", flag, str(f)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "SymbolSchemaError"
+
+
+def test_cli_probe_theorem_rejects_malformed_h_list(capsys):
+    argv = ["probe-theorem", "--symbol", "kfp.json", "--C0", "0.15", "--C1", "10"]
+    for h_list in ("0.2,abc", "0.2,"):
+        assert run(argv + ["--h-list", h_list]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "SymbolSchemaError"
 
 
 def test_cli_singular_space_kfp(capsys):
@@ -406,7 +512,7 @@ def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):
     assert shades == sorted(shades)  # darkest (smallest) near 0.11, brightening away
 
 
-@pytest.mark.parametrize("res", ["0,3", "3,0", "0.5,3", "inf,3", "nan,3"])
+@pytest.mark.parametrize("res", ["0,3", "3,0", "0.5,3", "2.7,3", "3,-1", "inf,3", "nan,3"])
 def test_cli_pseudospectrum_rejects_empty_or_unbounded_grid(tmp_path, capsys, res):
     csv_path = tmp_path / "grid.csv"
     argv = ["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1", "--N", "8",
@@ -490,10 +596,8 @@ def test_cli_probe_theorem_byte_identical_across_processes(tmp_path):
 
 
 def test_export_svg_empty():
-    svg = export_svg([], "heat")
+    svg = heat_svg([])
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-    with pytest.raises(ValueError):
-        export_svg([], "nope")
 
 
 def test_console_script_installed():

@@ -229,8 +229,10 @@ def test_volume_sandwich(wedge):
 def test_region_spec_validation():
     with pytest.raises(DomainError):
         dc.RegionSpec(h=0.5, C0=1.0, C1=10.0, dim=2)  # loglog(1/h) < 0
-    with pytest.raises(DomainError):
-        dc.RegionSpec(h=0.05, C0=-1.0, C1=10.0, dim=2)
+    for C0, C1, inner in [(-1.0, 10.0, None), (math.nan, 10.0, None), (1.0, math.inf, None),
+                          (1.0, 10.0, math.nan), (1.0, 10.0, math.inf)]:
+        with pytest.raises(DomainError):
+            dc.RegionSpec(h=0.05, C0=C0, C1=C1, dim=2, inner_radius=inner)
     region = dc.RegionSpec.with_f_value(0.05, 10.0, 10.0, 2, inner_radius=0.15)
     assert region.f_value == pytest.approx(10.0, rel=1e-12)
     assert region.outer_radius == pytest.approx(0.5, rel=1e-12)

@@ -262,7 +262,7 @@ def test_resolvent_norm_matches_dense_svd(q, N, h, sparse):
 def test_resolvent_norm_matches_dense_svd_at_probe_shifts(kfp):
     # admissible points drawn as probe-theorem draws them, where the
     # shift sits inside the numerical range and Lanczos restarts most
-    from dcspec.cli import sample_admissible
+    from dcspec import sample_admissible
     from dcspec.weyl import DENSE_SVD_CUTOFF
 
     h = 0.1
