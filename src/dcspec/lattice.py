@@ -42,6 +42,7 @@ REAL_EIGENVALUE_TOL = 1e-10
 DEDUP_RTOL = 1e-9
 MC_SAMPLES = 10**6
 SAMPLE_MAX_TRIES = 100000  # draws before sample_admissible gives up
+MAX_LATTICE_POINTS = 10**7  # largest simplex enumeration allocated (~1.6 GB at d = 4)
 _DIST_BLOCK = 64  # z values per |z - lattice| temporary in dist_to_spectrum
 
 
@@ -92,10 +93,22 @@ def _simplex_indices(remu, bound):
     Rows are built one coordinate at a time from the slack the earlier
     coordinates leave, in lexicographic order of k, so memory stays
     proportional to the number of rows rather than to the enclosing k-box.
+    Each k owns the cube [k, k + 1), which lies in the simplex enlarged by
+    2 sum remu, so that simplex's volume bounds the row count; it also
+    bounds every per-coordinate count, and an enumeration it puts above
+    MAX_LATTICE_POINTS raises DomainError before anything is allocated.
     """
     if not math.isfinite(bound):
         raise DomainError(f"enumeration bound must be finite, got {bound}")
-    slack = np.array([bound - float(np.sum(remu))])
+    slack = bound - float(np.sum(remu))
+    reach = slack + 2.0 * float(np.sum(remu))
+    estimate = math.prod(reach / (2.0 * float(r)) for r in remu) / math.factorial(len(remu))
+    if slack >= 0 and not estimate <= MAX_LATTICE_POINTS:
+        raise DomainError(
+            f"lattice enumeration of about {estimate:.3g} points exceeds "
+            f"MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}: raise h or lower the radius"
+        )
+    slack = np.array([slack])
     slack = slack[slack >= 0]
     ks = np.zeros((slack.size, 0), dtype=np.int64)
     for r in remu:

@@ -10,29 +10,37 @@ always be compared across two truncation levels.
 
 ``TruncatedWeylOperator.matrix`` is a scipy sparse CSC matrix (0.4% of its
 entries are nonzero for kfp at N = 36, basis size 703).  A quadratic symbol
-moves the total degree |k| by -2, 0 or +2, so the matrix is block-diagonal
-in the parity of |k|; ``parity_blocks`` holds the two blocks, built once
-per operator.  ``resolvent_norm`` computes 1/sigma_min(M - z) by one of two
-methods, chosen by the basis size n:
+moves the total degree |k| by -2, 0 or +2, so the matrix never couples the
+two parities of |k|, and a symbol without a_m a_l or a_m^+ a_l^+ terms
+(kfp) keeps |k| fixed: its matrix splits into the N + 1 degree shells.
+``TruncatedWeylOperator.blocks`` holds the connected components of the
+stored pattern, which finds every such split with no tolerance (2 blocks
+for a generic symbol, 4 for ``wedge_model``, N + 1 for kfp, n for the
+harmonic oscillator).  sigma_min of a direct sum is the smallest of its
+summands' values, and the spectrum is the union of theirs.
+``resolvent_norm`` computes 1/sigma_min(M - z) by one of two routes, chosen
+by the basis size n:
 
 - n <= ``DENSE_SVD_CUTOFF`` (140): a full dense SVD of M - z; the dense
   form of M is built once per operator and reused for every shift.
-- larger n: sigma_min is the smaller of the two parity blocks' values.
-  Each block B = M_p - z is factored once with SuperLU, and ARPACK runs
-  Lanczos on the real symmetric 2n embedding of v -> B^{-1} B^{-H} v,
-  whose largest eigenvalue is 1/sigma_min^2 (Wright & Trefethen, SIAM J.
-  Sci. Comput. 23, 2001), to a residual tolerance of 1e-10; the Ritz
-  value's error is quadratic in it.  The start vector is fixed, so the
-  result is reproducible at a fixed BLAS thread count.
+- larger n: the smallest sigma_min over the blocks.  Blocks of size
+  <= ``DENSE_SVD_CUTOFF`` take dense SVDs, one stacked call per block size
+  (the harmonic oscillator's n blocks of size 1 take one).  A larger
+  block B = M_b - z is factored once with SuperLU, and ARPACK runs Lanczos
+  on the real symmetric 2m embedding of v -> B^{-1} B^{-H} v, whose
+  largest eigenvalue is 1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci.
+  Comput. 23, 2001), to a residual tolerance of 1e-10; the Ritz value's
+  error is quadratic in it.  The start vector is fixed, so the result is
+  reproducible at a fixed BLAS thread count.
 
-The cutoff is the measured crossover of the two methods' single-threaded
-run times (about 105 for d = 1, 140 to 145 for d = 2 and 3).  The dense
-path is not split by parity: that would move its results in the last
-digits, and the benchmark's pseudospectrum oracle allows an absolute
-slack (1e-12 in log10) below its own SVD rounding.  Either way, sigma_min
-below 1e-14 ||M||_F (or an exactly singular LU factor) is reported as an
-infinite norm, the infinity signal.  Spectra (``spectrum_truncated``) use
-a dense eigensolver.
+The cutoff sits a little above the measured crossover of the two engines'
+single-threaded run times on one block (about 115 for d = 1, 130 for
+d = 2).  Up to it the matrix is not split: that would move its results in
+the last digits, and the benchmark's pseudospectrum oracle allows an
+absolute slack (1e-12 in log10) below its own SVD rounding.  Either way,
+sigma_min below 1e-14 ||M||_F (or an exactly singular LU factor) is
+reported as an infinite norm, the infinity signal.  Spectra (``spectrum_truncated``) use a dense
+eigensolver on each block.
 """
 
 import math
@@ -115,15 +123,54 @@ class TruncatedWeylOperator:
         return self.matrix.toarray()
 
     @cached_property
-    def parity_blocks(self):
-        """(even, odd) diagonal blocks of the matrix in the parity of |k|.
+    def blocks(self):
+        """Diagonal blocks of the matrix, as (basis indices, block) pairs.
 
-        Built on first use and kept, as CSC matrices.  A quadratic symbol
-        moves |k| by -2, 0 or +2, so the matrix has no entries between the
-        two parities and these blocks hold all of it.
+        The blocks are the connected components of the stored pattern, so
+        no stored entry joins two of them and together they hold all of M;
+        ``quantize_quadratic`` stores no exact zeros, so the split needs no
+        tolerance.  Indices are increasing within a block.  A block of size
+        <= ``DENSE_SVD_CUTOFF`` is a dense array, a larger one CSC.  Built on
+        first use and kept.
         """
-        parity = multi_indices(self.trunc.dim, self.trunc.degree).sum(1) % 2
-        return tuple(self.matrix[sel][:, sel] for sel in (parity == 0, parity == 1))
+        from scipy.sparse.csgraph import connected_components
+
+        M = self.matrix
+        pattern = sp.csc_matrix(
+            (np.ones(M.nnz, dtype=np.int8), M.indices, M.indptr), shape=M.shape
+        )
+        _, labels = connected_components(pattern, directed=False)
+        perm = np.argsort(labels, kind="stable")
+        P = M[perm][:, perm]
+        sizes = np.bincount(labels)
+        ends = np.cumsum(sizes)
+        # P is block-diagonal; the place of each stored entry in its block
+        per_col = np.diff(P.indptr)
+        offset = np.repeat(np.repeat(ends - sizes, sizes), per_col)
+        rows = P.indices - offset
+        cols = np.repeat(np.arange(M.shape[0]), per_col) - offset
+        out = []
+        for stop, size in zip(ends, sizes):
+            sel = slice(P.indptr[stop - size], P.indptr[stop])
+            if size <= DENSE_SVD_CUTOFF:
+                b = np.zeros((size, size), dtype=P.dtype)
+                b[rows[sel], cols[sel]] = P.data[sel]
+            else:
+                b = sp.csc_matrix((P.data[sel], (rows[sel], cols[sel])), shape=(size, size))
+            out.append((perm[stop - size:stop], b))
+        return tuple(out)
+
+    @cached_property
+    def _sigma_parts(self):
+        """``blocks`` as ``resolvent_norm`` takes them: the dense blocks of
+        each size stacked into one (count, m, m) array, then the sparse ones."""
+        stacks, sparse = {}, []
+        for _, b in self.blocks:
+            if sp.issparse(b):
+                sparse.append(b)
+            else:
+                stacks.setdefault(len(b), []).append(b)
+        return [np.stack(g) for g in stacks.values()] + sparse
 
 
 def quantize_quadratic(q, trunc):
@@ -172,11 +219,15 @@ def quantize_quadratic(q, trunc):
 
 
 def spectrum_truncated(op, count):
-    """The ``count`` eigenvalues of the truncation of smallest modulus."""
+    """The ``count`` eigenvalues of the truncation of smallest modulus,
+    from a dense eigensolver on each of ``op.blocks``."""
     if count > op.trunc.size:
         raise ValueError(f"count {count} exceeds basis size {op.trunc.size}")
     try:
-        evals = np.linalg.eigvals(op.dense)
+        evals = np.concatenate([
+            np.linalg.eigvals(b.toarray() if sp.issparse(b) else b)
+            for _, b in op.blocks
+        ])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
     order = np.lexsort((evals.imag, evals.real, np.abs(evals)))
@@ -219,27 +270,30 @@ def _sigma_min_sparse(B):
     return 1.0 / math.sqrt(lam)
 
 
+def _sigma_min(B, z):
+    """sigma_min(B - z) of a sparse matrix, or the smallest over a dense
+    matrix or a (count, m, m) stack of them, by one SVD call."""
+    m = B.shape[-1]
+    if isinstance(B, np.ndarray):
+        return float(np.linalg.svd(B - z * np.eye(m), compute_uv=False)[..., -1].min())
+    return _sigma_min_sparse(B - z * sp.identity(m, dtype=complex, format="csc"))
+
+
 def resolvent_norm(op, z):
     """Operator norm of the truncated resolvent, 1/sigma_min(M - z).
 
     Returns ``inf`` (the infinity signal) when sigma_min falls below
     1e-14 * ||M||_F, i.e. when z is numerically an eigenvalue.  Uses a
-    dense SVD up to ``DENSE_SVD_CUTOFF`` basis size and, beyond it, sparse
-    LU with Lanczos on each parity block.  A non-finite z raises DomainError.
+    dense SVD of the whole matrix up to ``DENSE_SVD_CUTOFF`` basis size and,
+    beyond it, the smallest of the values of ``op.blocks``.  A non-finite z
+    raises DomainError.
     """
     z = complex(z)
     if not np.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
     M = op.matrix
-    n = M.shape[0]
-    if n <= DENSE_SVD_CUTOFF:
-        B = op.dense - z * np.eye(n)
-        smin = float(np.linalg.svd(B, compute_uv=False)[-1])
-    else:
-        smin = min(
-            _sigma_min_sparse(b - z * sp.identity(b.shape[0], dtype=complex, format="csc"))
-            for b in op.parity_blocks
-        )
+    parts = [op.dense] if M.shape[0] <= DENSE_SVD_CUTOFF else op._sigma_parts
+    smin = min(_sigma_min(b, z) for b in parts)
     scale = float(np.linalg.norm(M.data))
     if smin < INFINITY_SIGMA_RTOL * max(scale, 1e-300):
         return math.inf

@@ -173,6 +173,19 @@ def test_cli_bad_numeric_flag_is_domain_error(capsys, command, flag, value):
     assert payload["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("command, flag", [("spectrum", "--h"), ("region", "--C0")])
+def test_cli_huge_lattice_enumeration_is_domain_error(capsys, command, flag):
+    # radius / h near 1e300 overflows every per-coordinate count
+    argv = [command] + _BASE_ARGV[command]
+    argv[argv.index(flag) + 1] = "1e-300"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip().splitlines()[-1])
+    assert payload["error"] == "DomainError"
+    assert "lattice enumeration" in payload["message"]
+
+
 def test_cli_bad_numeric_flag_base_argv_runs(capsys):
     # the sweep above changes one flag of argument vectors that succeed
     for command, argv in _BASE_ARGV.items():
@@ -413,6 +426,12 @@ def test_cli_resolvent_rejects_non_finite_h_and_z(capsys, symbol, h, z):
     assert ("h must" if h != "0.1" else "z must") in payload["message"]
 
 
+def _smallest_block(N):
+    """Size of the smallest block of the davies operator at degree N, h = 1."""
+    op = dc.quantize_quadratic(parse_symbol_spec("davies.json"), dc.HermiteTruncation(1, N, 1.0))
+    return min(len(idx) for idx, _ in op.blocks)
+
+
 @pytest.mark.parametrize("kind", ["no_convergence", "error"])
 def test_cli_arpack_failure_exit_code(capsys, monkeypatch, kind):
     import scipy.sparse.linalg as spla
@@ -424,8 +443,8 @@ def test_cli_arpack_failure_exit_code(capsys, monkeypatch, kind):
         raise spla.ArpackError(-9999)
 
     monkeypatch.setattr(spla, "eigsh", fail)
-    assert dc.HermiteTruncation(1, 190, 1.0).size > DENSE_SVD_CUTOFF  # both levels sparse
-    argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "200", "--z", "2,0.5"]
+    assert _smallest_block(300) > DENSE_SVD_CUTOFF  # blocks 151 and 150 reach the sparse engine
+    argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "300", "--z", "2,0.5"]
     assert run(argv) == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "NumericalFailureError"
@@ -436,12 +455,14 @@ def test_cli_superlu_failure_exit_code(capsys, monkeypatch):
     # a SuperLU error other than an exactly singular factor is a numerical
     # failure (exit 3), not a traceback
     import scipy.sparse.linalg as spla
+    from dcspec.weyl import DENSE_SVD_CUTOFF
 
     def fail(*args, **kwargs):
         raise RuntimeError("Not enough memory to perform factorization.")
 
     monkeypatch.setattr(spla, "splu", fail)
-    argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "200", "--z", "2,0.5"]
+    assert _smallest_block(300) > DENSE_SVD_CUTOFF
+    argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "300", "--z", "2,0.5"]
     assert run(argv) == 3
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "NumericalFailureError"
@@ -463,19 +484,20 @@ def test_cli_coarse_level_below_small_n(capsys):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # neither scipy.optimize nor the sparse solvers load with the CLI
+    # neither scipy.optimize nor the sparse solvers nor the block split's
+    # graph routines load with the CLI
     import subprocess
     import sys
 
     code = (
-        "import sys, dcspec.cli; "
-        "print([m in sys.modules for m in ('scipy.optimize', 'scipy.sparse.linalg')])"
+        "import sys, dcspec.cli; print([m in sys.modules for m in "
+        "('scipy.optimize', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):

@@ -66,6 +66,22 @@ def test_lattice_points_harmonic(harmonic):
     assert all(m == 1 for _, m in pts)
 
 
+def test_huge_enumeration_is_domain_error(harmonic):
+    # mu = 1: the simplex holds one k per odd integer up to radius / h, and
+    # the size bound is checked before any array is allocated
+    from dcspec.lattice import MAX_LATTICE_POINTS
+
+    spec = dc.stable_eigenvalues(dc.hamilton_map(harmonic))
+    assert len(dc.lattice_points(spec, 1e-4, 1.0)) == 5000
+    with pytest.raises(DomainError, match="lattice enumeration"):
+        dc.lattice_points(spec, 0.1, 0.1 * (2 * MAX_LATTICE_POINTS + 3))
+    for h in (1e-300, 5e-324):  # counts past int64, then an infinite bound
+        with pytest.raises(DomainError):
+            dc.lattice_points(spec, h, 1.0)
+        with pytest.raises(DomainError):
+            dc.dist_to_spectrum(spec, h, 1.0)
+
+
 def test_lattice_points_wedge_in_cone(wedge):
     spec = dc.stable_eigenvalues(dc.hamilton_map(wedge))
     for z, _ in dc.lattice_points(spec, 0.1, 3.0):

@@ -230,24 +230,34 @@ def test_davies_ray_growth_until_saturation(davies):
     assert norms[120] * dc.dist_to_spectrum(spec, 1.0, z) > 10
 
 
-@pytest.mark.parametrize(
-    "q, N, h, sparse",
-    [
-        (davies_form(1.0), 120, 1.0, False),
-        (davies_form(1.0), 300, 1.0, True),
-        (kfp_form(1.0), 12, 0.1, False),
-        (kfp_form(1.0), 36, 0.1, True),
-    ],
-    ids=["davies-121", "davies-301", "kfp-91", "kfp-703"],
-)
-def test_resolvent_norm_matches_dense_svd(q, N, h, sparse):
-    # both sides of the cutoff against a full SVD of the densified matrix,
-    # at random shifts and at shifts 1% of |lambda| from the lowest eigenvalues
+def _largest_block_engine(op):
+    """Which sigma_min engine resolvent_norm runs on the operator's largest block."""
     from dcspec.weyl import DENSE_SVD_CUTOFF
 
+    if op.trunc.size <= DENSE_SVD_CUTOFF:
+        return "whole"  # one dense SVD of the unsplit matrix
+    size, block = max(((len(idx), b) for idx, b in op.blocks), key=lambda t: t[0])
+    assert sp.issparse(block) == (size > DENSE_SVD_CUTOFF)
+    return "sparse" if sp.issparse(block) else "dense"
+
+
+@pytest.mark.parametrize(
+    "q, N, h, engine",
+    [
+        (davies_form(1.0), 120, 1.0, "whole"),
+        (davies_form(1.0), 300, 1.0, "sparse"),  # parity blocks 151 and 150
+        (kfp_form(1.0), 12, 0.1, "whole"),
+        (kfp_form(1.0), 36, 0.1, "dense"),  # degree shells of sizes 1 to 37
+        (parse_symbol_spec("wedge_model.json"), 20, 0.1, "dense"),  # 66, 55, 55, 55
+    ],
+    ids=["davies-121", "davies-301", "kfp-91", "kfp-703", "wedge-231"],
+)
+def test_resolvent_norm_matches_dense_svd(q, N, h, engine):
+    # every engine against a full SVD of the densified matrix, at random
+    # shifts and at shifts 1% of |lambda| from the lowest eigenvalues
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
     n = op.trunc.size
-    assert (n > DENSE_SVD_CUTOFF) == sparse
+    assert _largest_block_engine(op) == engine
     M = op.matrix.toarray()
     lowest = sorted(np.linalg.eigvals(M), key=abs)[:3]
     rng = np.random.default_rng(17)
@@ -261,9 +271,9 @@ def test_resolvent_norm_matches_dense_svd(q, N, h, sparse):
 
 def test_resolvent_norm_matches_dense_svd_at_probe_shifts(kfp):
     # admissible points drawn as probe-theorem draws them, where the
-    # shift sits inside the numerical range and Lanczos restarts most
+    # shift sits inside the numerical range; kfp's degree shells are all
+    # small enough for the dense engine
     from dcspec import sample_admissible
-    from dcspec.weyl import DENSE_SVD_CUTOFF
 
     h = 0.1
     spec = dc.stable_eigenvalues(dc.hamilton_map(kfp))
@@ -272,7 +282,7 @@ def test_resolvent_norm_matches_dense_svd_at_probe_shifts(kfp):
     N = dc.suggested_degree(region.outer_radius, h, 2)
     op = dc.quantize_quadratic(kfp, dc.HermiteTruncation(2, N, h))
     n = op.trunc.size
-    assert n > DENSE_SVD_CUTOFF
+    assert _largest_block_engine(op) == "dense"
     M = op.matrix.toarray()
     for z in zs:
         want = 1.0 / np.linalg.svd(M - z * np.eye(n), compute_uv=False)[-1]
@@ -296,24 +306,48 @@ def test_galerkin_matrix_is_parity_block_diagonal(source):
     for q, N in itertools.product(forms, (7, 10)):
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, 0.3))
         M = op.matrix
-        parity = np.array([sum(k) % 2 for k in multi_indices(q.dim, N)])
-        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-        assert M[even][:, odd].nnz == 0 and M[odd][:, even].nnz == 0
-        # the blocks, put back through the parity permutation, are M exactly
-        perm = np.concatenate((even, odd))
+        label = np.empty(M.shape[0], dtype=int)
+        for b, (idx, _) in enumerate(op.blocks):
+            label[idx] = b
+        # no stored entry joins two blocks
+        rows, cols = M.nonzero()
+        assert np.array_equal(label[rows], label[cols])
+        # the blocks, put back through the permutation, are M exactly
+        perm = np.concatenate([idx for idx, _ in op.blocks])
+        assert np.array_equal(np.sort(perm), np.arange(M.shape[0]))
         rebuilt = np.zeros(M.shape, dtype=complex)
-        rebuilt[np.ix_(perm, perm)] = sp.block_diag(op.parity_blocks).toarray()
+        rebuilt[np.ix_(perm, perm)] = sp.block_diag([b for _, b in op.blocks]).toarray()
         assert np.array_equal(rebuilt, M.toarray())
+        # every block lies in one parity of |k|, the generic split
+        degree = multi_indices(q.dim, N).sum(1)
+        assert all(np.ptp(degree[idx] % 2) == 0 for idx, _ in op.blocks)
+        if source == "kfp.json":  # one block per degree shell
+            shells = sorted(tuple(np.unique(degree[idx])) for idx, _ in op.blocks)
+            assert shells == [(j,) for j in range(N + 1)]
+            assert sorted(len(idx) for idx, _ in op.blocks) == list(range(1, N + 2))
+        if source.startswith("random"):  # exactly the two parity blocks
+            parts = sorted(tuple(idx) for idx, _ in op.blocks)
+            parity = [tuple(np.flatnonzero(degree % 2 == p)) for p in (0, 1)]
+            assert parts == sorted(parity)
 
 
-def test_resolvent_norm_infinity_signal_sparse(harmonic):
-    from dcspec.weyl import DENSE_SVD_CUTOFF
+@pytest.mark.parametrize("source", _BUNDLED)
+def test_spectrum_truncated_blocks_match_unsplit(source):
+    # eigenvalues taken block by block against one eigensolve of the whole matrix
+    q = parse_symbol_spec(source)
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, 10, 0.3))
+    whole = np.linalg.eigvals(op.matrix.toarray())
+    blocked = dc.spectrum_truncated(op, op.trunc.size)
+    assert multiset_defect(blocked, whole) <= 1e-11 * np.max(np.abs(whole))
 
+
+def test_resolvent_norm_infinity_signal_dense_blocks(harmonic):
+    # n = 201 is above the cutoff, and the diagonal matrix splits into 1 x 1 blocks
     op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 200, 0.1))
-    assert op.trunc.size > DENSE_SVD_CUTOFF
+    assert _largest_block_engine(op) == "dense"
+    assert len(op.blocks) == op.trunc.size
     eigs = op.matrix.diagonal().real
-    # an exact diagonal entry makes the LU factor exactly singular; 0.3 is
-    # an eigenvalue up to rounding
+    # an exact diagonal entry gives sigma_min = 0; 0.3 is an eigenvalue up to rounding
     assert math.isinf(dc.resolvent_norm(op, eigs[5]))
     assert math.isinf(dc.resolvent_norm(op, 0.3))
     rng = np.random.default_rng(5)
@@ -321,6 +355,28 @@ def test_resolvent_norm_infinity_signal_sparse(harmonic):
         z = complex(rng.uniform(0, 2), rng.uniform(-1, 1))
         expected = 1.0 / np.min(np.abs(eigs - z))
         assert dc.resolvent_norm(op, z) == pytest.approx(expected, rel=1e-10)
+
+
+def test_resolvent_norm_infinity_signal_sparse(harmonic):
+    # the sparse engine on the unsplit diagonal harmonic matrix, n = 201
+    from dcspec.weyl import DENSE_SVD_CUTOFF, INFINITY_SIGMA_RTOL, _sigma_min_sparse
+
+    op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 200, 0.1))
+    M = op.matrix
+    assert M.shape[0] > DENSE_SVD_CUTOFF
+    eigs = M.diagonal().real
+
+    def smin(z):
+        return _sigma_min_sparse(M - z * sp.identity(M.shape[0], dtype=complex, format="csc"))
+
+    # an exact diagonal entry makes the LU factor exactly singular; 0.3 is
+    # an eigenvalue up to rounding
+    assert smin(eigs[5]) == 0.0
+    assert smin(0.3) < INFINITY_SIGMA_RTOL * np.linalg.norm(M.data)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        z = complex(rng.uniform(0, 2), rng.uniform(-1, 1))
+        assert smin(z) == pytest.approx(np.min(np.abs(eigs - z)), rel=1e-10)
 
 
 def test_pseudospectrum_grid_harmonic(harmonic):
@@ -401,14 +457,18 @@ def test_sigma_min_against_mpmath_svd(q, N, h):
     import mpmath as mp
     from dcspec.weyl import _sigma_min_sparse
 
+    from dcspec.weyl import multi_indices
+
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
     lowest = sorted(np.linalg.eigvals(op.dense), key=abs)[:3]
+    parity = multi_indices(q.dim, N).sum(1) % 2
+    parity_blocks = [op.matrix[parity == p][:, parity == p] for p in (0, 1)]
     with mp.workdps(30):
         exact = mp_galerkin_blocks(q, N, h)
         for lam, t in zip(lowest, (0.4, 2.0, 4.1)):
             z = lam * (1 + 0.02 * np.exp(1j * t))
             want = []
-            for B, b in zip(exact, op.parity_blocks):
+            for B, b in zip(exact, parity_blocks):
                 shifted = B - mp.mpc(z.real, z.imag) * mp.eye(B.rows)
                 want.append(float(min(mp.svd_c(shifted, compute_uv=False))))
                 got = _sigma_min_sparse(b - z * sp.identity(b.shape[0], format="csc"))
@@ -416,14 +476,15 @@ def test_sigma_min_against_mpmath_svd(q, N, h):
             assert 1.0 / dc.resolvent_norm(op, z) == pytest.approx(min(want), rel=1e-9)
 
 
-def test_non_finite_h_and_z_rejected(harmonic):
+def test_non_finite_h_and_z_rejected(harmonic, davies):
     from dcspec.errors import DomainError
 
     for h in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(DomainError):
             dc.HermiteTruncation(1, 5, h)
-    for N in (20, 200):  # dense and sparse path
-        op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, N, 0.1))
+    for q, N, engine in [(harmonic, 20, "whole"), (harmonic, 200, "dense"), (davies, 300, "sparse")]:
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, N, 0.1))
+        assert _largest_block_engine(op) == engine
         for z in (complex(math.nan, 0), complex(0.2, math.inf), math.nan):
             with pytest.raises(DomainError):
                 dc.resolvent_norm(op, z)
