@@ -87,17 +87,25 @@ def _error_line(exc):
     _emit_json({"error": type(exc).__name__, "message": str(exc)}, stream=sys.stderr)
 
 
-def _write_csv(path, header, rows):
-    def render(v):
-        if isinstance(v, bool):
-            return "1" if v else "0"
-        if isinstance(v, float):
-            return _fmt(v)
-        return str(v)
+def _write_csv(path, header, columns):
+    """Write a CSV table given by ``columns``, one array or sequence per header field.
 
-    lines = [",".join(header)]
-    lines.extend(",".join(render(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    Each column is rendered in one go: bools as 1/0, floats through ``_fmt``
+    once per distinct bit pattern (so -0.0 and 0.0 keep their own text),
+    anything else through ``str``.
+    """
+    cells = []
+    for col in map(np.asarray, columns):
+        if col.dtype == bool:
+            cells.append(np.where(col, "1", "0").tolist())
+        elif col.dtype == float:
+            _, first, inverse = np.unique(
+                col.view(np.int64), return_index=True, return_inverse=True
+            )
+            cells.append(np.array([_fmt(v) for v in col[first].tolist()])[inverse].tolist())
+        else:
+            cells.append([str(v) for v in col.tolist()])
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -293,8 +301,8 @@ def _cmd_spectrum(args):
     q = parse_symbol_spec(args.symbol)
     spec = stable_eigenvalues(hamilton_map(q))
     pts = lattice_points(spec, args.h, args.radius)
-    rows = [(z.real, z.imag, mult) for z, mult in pts]
-    _write_csv(args.out, ["re", "im", "multiplicity"], rows)
+    vals = np.array([v for v, _ in pts], dtype=complex)
+    _write_csv(args.out, ["re", "im", "multiplicity"], [vals.real, vals.imag, [m for _, m in pts]])
     return 0
 
 
@@ -319,16 +327,11 @@ def _cmd_region(args):
         "excluded_area_fraction": excluded_area_fraction(region, spec, seed=args.seed),
         "disc_count": len(discs),
     }
-    rows = list(
-        zip(
-            re.tolist(),
-            im.tolist(),
-            verdict.admissible.tolist(),
-            verdict.dist.tolist(),
-            verdict.reason.tolist(),
-        )
+    _write_csv(
+        args.out,
+        ["re", "im", "admissible", "dist", "reason"],
+        [re, im, verdict.admissible, verdict.dist, verdict.reason],
     )
-    _write_csv(args.out, ["re", "im", "admissible", "dist", "reason"], rows)
     if args.svg:
         with open(args.svg, "w") as f:
             f.write(region_svg(region.outer_radius, region.inner_radius or 0.0,
@@ -417,19 +420,16 @@ def _cmd_pseudospectrum(args):
     n_re, n_im = _grid_counts(_parse_floats(args.res, 2, "--res"), "--res")
     op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
     re_axis, im_axis, grid = pseudospectrum_grid(op, window, (n_re, n_im))
-    rows = [
-        (float(re_axis[i]), float(im_axis[j]), float(grid[j, i]))
-        for j in range(n_im)
-        for i in range(n_re)
-    ]
-    _write_csv(args.out, ["re", "im", "log10norm"], rows)
-    if args.svg:
-        with open(args.svg, "w") as f:
-            f.write(heat_svg(rows))
+    # every result before the first write, so a failure leaves no partial output
     op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
     _, _, grid2 = pseudospectrum_grid(op2, window, (n_re, n_im))
     both = np.isfinite(grid) & np.isfinite(grid2)
     max_change = float(np.max(np.abs(grid[both] - grid2[both]))) if both.any() else math.inf
+    columns = [np.tile(re_axis, n_im), np.repeat(im_axis, n_re), grid.ravel()]
+    _write_csv(args.out, ["re", "im", "log10norm"], columns)
+    if args.svg:
+        with open(args.svg, "w") as f:
+            f.write(heat_svg(list(zip(*columns))))
     _emit_json(
         {
             "N": args.N,
@@ -477,10 +477,11 @@ def _cmd_probe_theorem(args):
         q, _parse_floats(args.h_list, None, "--h-list"), C0=args.C0, C1=args.C1,
         inner_mult=args.inner_mult, samples=args.samples, seed=args.seed, safety=args.safety,
     )
+    h, z, norm = map(np.array, zip(*rows))
     _write_csv(
         args.out,
         ["h", "z_re", "z_im", "norm", "admissible", "fit_exponent"],
-        [(h, z.real, z.imag, nv, True, exponent) for h, z, nv in rows],
+        [h, z.real, z.imag, norm, [True] * len(rows), [exponent] * len(rows)],
     )
     _emit_json(
         {

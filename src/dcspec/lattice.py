@@ -134,7 +134,7 @@ def _weighted_sum(ks, coeffs):
 
 
 def _lattice_values(spec, h, radius):
-    """Every lattice value h*mu(k) with modulus <= radius, one per k.
+    """Every lattice value h*mu(k) with modulus <= radius, one per k, and its modulus.
 
     Since |h mu(k)| >= h Re mu(k), the simplex Re mu(k) <= radius/h holds
     every such k; a relative margin of 1e-9 on it covers rounding and the
@@ -146,7 +146,9 @@ def _lattice_values(spec, h, radius):
         raise DomainError(f"radius must be finite and >= 0, got {radius}")
     ks = _simplex_indices(spec.mus.real, radius / h * (1 + 1e-9))
     vals = h * _weighted_sum(ks, spec.mus)
-    return vals[_modulus(vals) <= radius * (1 + 1e-12)]
+    modulus = _modulus(vals)
+    keep = modulus <= radius * (1 + 1e-12)
+    return vals[keep], modulus[keep]
 
 
 def _near_offsets(vals, modulus, rtol=0.0, atol=0.0):
@@ -194,8 +196,7 @@ def _distinct_values(spec, h, radius):
     DEDUP_RTOL, so a conjugate value of equal modulus cannot split
     near-equal copies.  Each cluster is represented by its first member.
     """
-    vals = _lattice_values(spec, h, radius)
-    modulus = _modulus(vals)
+    vals, modulus = _lattice_values(spec, h, radius)
     order = np.lexsort((vals.imag, vals.real, modulus))
     vals, modulus = vals[order], modulus[order]
     _, octave = np.frexp(modulus)
@@ -228,9 +229,12 @@ def dist_to_spectrum(spec, h, z):
     """Distance from z (a scalar or an array) to the full spectral lattice.
 
     The ground value h*mu(0) is a candidate, so no lattice value farther
-    from the origin than |z| + |z - h mu(0)| can be nearest to z.  One
-    enumeration up to the largest such reach over all z serves every z;
-    the distances are taken over blocks of z so the temporary stays small.
+    from the origin than the reach |z| + |z - h mu(0)| can be nearest to z.
+    One enumeration up to the largest reach over all z serves every z.  The
+    z are visited in order of reach, _DIST_BLOCK at a time, and each block
+    is compared only with the values within its largest reach (plus a
+    relative 1e-12 for rounding); the dropped values cannot be nearest, so
+    every distance is the same float a comparison with all of them gives.
     Returns a float for a scalar z and an array of z's shape otherwise.
     """
     z = np.asarray(z, dtype=complex)
@@ -238,11 +242,13 @@ def dist_to_spectrum(spec, h, z):
     dist = np.empty(flat.size)
     if flat.size:
         ground = h * complex(np.sum(spec.mus))
-        reach = float(np.max(_modulus(flat) + _modulus(flat - ground)))
-        pts = _lattice_values(spec, h, reach + 2.0 * h * float(np.sum(spec.mus.real)))
+        reach = _modulus(flat) + _modulus(flat - ground)
+        pts, pts_modulus = _lattice_values(spec, h, float(np.max(reach)))
+        order = np.argsort(reach, kind="stable")
         for b in range(0, flat.size, _DIST_BLOCK):
-            block = flat[b:b + _DIST_BLOCK, None]
-            dist[b:b + _DIST_BLOCK] = np.min(_modulus(block - pts), axis=1)
+            idx = order[b:b + _DIST_BLOCK]
+            near = pts[pts_modulus <= reach[idx[-1]] * (1 + 1e-12)]
+            dist[idx] = np.min(_modulus(flat[idx, None] - near), axis=1)
     return float(dist[0]) if z.ndim == 0 else dist.reshape(z.shape)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dcspec as dc
-from dcspec.cli import heat_svg, parse_symbol_spec, run
+from dcspec.cli import _write_csv, heat_svg, parse_symbol_spec, run
 from dcspec.errors import SymbolSchemaError
 from conftest import kfp_form
 
@@ -236,6 +236,9 @@ def test_cli_spectrum_harmonic(capsys):
     assert len(lines) == 6
     values = [float(ln.split(",")[0]) for ln in lines[1:]]
     assert np.allclose(values, [0.1, 0.3, 0.5, 0.7, 0.9])
+    # a disc holding no lattice value gives the header alone
+    assert run(["spectrum", "--symbol", "harmonic.json", "--h", "0.1", "--radius", "0.05"]) == 0
+    assert capsys.readouterr().out == "re,im,multiplicity\n"
 
 
 def test_cli_spectrum_deterministic(capsys):
@@ -543,6 +546,71 @@ def test_cli_pseudospectrum_rejects_empty_or_unbounded_grid(tmp_path, capsys, re
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "DomainError"
     assert not csv_path.exists()
+
+
+def test_cli_pseudospectrum_coarse_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    import dcspec.cli as cli
+    from dcspec.errors import NumericalFailureError
+
+    calls = []
+    real = cli.pseudospectrum_grid
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalFailureError("coarse level failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pseudospectrum_grid", fail_second)
+    csv_path, svg_path = tmp_path / "grid.csv", tmp_path / "heat.svg"
+    argv = ["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1", "--N", "8",
+            "--window", "0,1,0,1", "--res", "3,2", "--out", str(csv_path), "--svg", str(svg_path)]
+    assert run(argv) == 3
+    assert len(calls) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "NumericalFailureError"
+    assert not csv_path.exists() and not svg_path.exists()
+
+
+def per_cell_csv(header, columns):
+    """The CSV text of a per-cell renderer over rows of Python values: the
+    oracle for the column-wise _write_csv."""
+    def render(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return format(float(v), ".17g")
+        return str(v)
+
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    lines = [",".join(header)]
+    lines.extend(",".join(render(v) for v in row) for row in zip(*cols))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_cell_renderer(tmp_path, capsys):
+    floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+              0.1, 0.1, -0.0, 1 / 3, 0.0, -2.5e-300, 5e-324]
+    n = len(floats)
+    rng = np.random.default_rng(5)
+    columns = [
+        np.array(floats),
+        floats,  # a list of Python floats
+        np.tile(rng.standard_normal(3), 5)[:n],  # repeated values
+        [int(v) for v in rng.integers(1, 10**12, n)],  # Python ints, like multiplicities
+        rng.random(n) < 0.5,  # a numpy bool array
+        [True, False] * (n // 2),  # Python bools
+        np.array(["", "outer bound", "exclusion disc", "inner bound"] * 4)[:n],  # <U strings
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path / "t.csv"
+    _write_csv(str(path), header, columns)
+    assert path.read_bytes() == per_cell_csv(header, columns).encode()
+    _write_csv(None, header, columns)
+    assert capsys.readouterr().out == per_cell_csv(header, columns)
+    empty = [np.zeros(0), [], np.zeros(0, dtype=bool), np.array([], dtype="<U3")]
+    _write_csv(str(path), header[:4], empty)
+    assert path.read_bytes() == per_cell_csv(header[:4], empty).encode() == b"c0,c1,c2,c3\n"
 
 
 def test_cli_probe_theorem_small(tmp_path, capsys):

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import dcspec as dc
+from dcspec import lattice
 from dcspec.errors import DegenerateSpectrumError, DomainError
+from dcspec.symplectic import QuadraticForm
+from conftest import davies_form, harmonic_form, kfp_form, wedge_form
 
 
 def two_mode_spectrum(mu1=1.0, mu2=1.0):
@@ -319,6 +322,60 @@ def test_array_queries_match_scalar_and_brute_force(wedge, inner, shape):
     if n >= 4:
         every = {"", "outer bound", "inner bound", "exclusion disc"}
         assert reasons == (every if inner is not None else every - {"inner bound"})
+
+
+def full_scan_dist(spec, h, z):
+    """Distances from one enumeration to the largest reach over all z, each
+    taken over every value in it: the scan dist_to_spectrum restricts per block."""
+    flat = np.asarray(z, dtype=complex).ravel()
+    if flat.size == 0:
+        return np.zeros(0)
+    ground = h * complex(np.sum(spec.mus))
+    reach = float(np.max(np.hypot(flat.real, flat.imag)
+                         + np.hypot((flat - ground).real, (flat - ground).imag)))
+    pts, _ = lattice._lattice_values(spec, h, reach + 2.0 * h * float(np.sum(spec.mus.real)))
+    return np.array([np.min(np.hypot((zi - pts).real, (zi - pts).imag)) for zi in flat])
+
+
+def seeded_d3_form():
+    """Elliptic d = 3 form: identity real part, seeded symmetric imaginary part."""
+    S = np.random.default_rng(3).standard_normal((6, 6))
+    return QuadraticForm(3, np.eye(6) + 0.5j * (S + S.T))
+
+
+@pytest.mark.parametrize(
+    "form", [harmonic_form, davies_form, wedge_form, kfp_form, seeded_d3_form],
+    ids=["harmonic", "davies", "wedge", "kfp", "d3"],
+)
+def test_dist_to_spectrum_bit_identical_to_full_scan(form):
+    spec = dc.stable_eigenvalues(dc.hamilton_map(form()))
+    h = 0.05
+    rng = np.random.default_rng(7)
+    axis = np.linspace(-0.6, 0.6, 41)
+    on_lattice, _ = lattice._lattice_values(spec, h, 0.5)
+    blocks = lattice._DIST_BLOCK
+    inputs = [
+        sum(np.meshgrid(axis, 1j * axis)),  # a 41 x 41 grid
+        *(rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n)
+          for n in (1, blocks - 1, blocks + 1, 3 * blocks + 17)),
+        on_lattice,
+        np.array([2.5 + 1.5j, -2.0 - 2.0j, 0.01, 2.5 + 1.5j]),  # far outside, and near 0
+        np.concatenate([on_lattice[:5], [1.9 - 1.1j], rng.uniform(-0.6, 0.6, 70)]),
+    ]
+    for z in inputs:
+        got = dc.dist_to_spectrum(spec, h, z)
+        assert got.shape == z.shape
+        assert np.array_equal(got.ravel(), full_scan_dist(spec, h, z))
+    assert np.all(dc.dist_to_spectrum(spec, h, on_lattice) == 0.0)
+    # on the segment from 0 to the ground value the reach equals |h mu(0)| up to
+    # rounding, so a block of one such z must still keep the ground value
+    ground = h * complex(np.sum(spec.mus))
+    for z in (0.2 + 0.1j, -0.3, on_lattice[-1], 2.5 + 1.5j, *np.linspace(0, 1, 101) * ground):
+        got = dc.dist_to_spectrum(spec, h, z)
+        assert type(got) is float and got == full_scan_dist(spec, h, z)[0]
+    for shape in ((0,), (2, 0)):
+        got = dc.dist_to_spectrum(spec, h, np.zeros(shape, dtype=complex))
+        assert got.shape == shape
 
 
 def test_three_panel_grid_geometry(wedge):
