@@ -10,6 +10,7 @@ line, seed and BLAS thread count; CSV floats carry 17 significant digits.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -498,6 +499,7 @@ def _cmd_probe_theorem(args):
 # ---------------------------------------------------------------- driver
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     p = argparse.ArgumentParser(
         prog="dcspec",

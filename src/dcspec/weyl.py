@@ -18,28 +18,28 @@ stored pattern, which finds every such split with no tolerance (2 blocks
 for a generic symbol, 4 for ``wedge_model``, N + 1 for kfp, n for the
 harmonic oscillator).  sigma_min of a direct sum is the smallest of its
 summands' values, and the spectrum is the union of theirs.
-``resolvent_norm`` computes 1/sigma_min(M - z) by one of two routes, chosen
-by the basis size n:
+``resolvent_norm`` computes 1/sigma_min(M - z) for a scalar or an array of
+shifts, with one finiteness check and one ||M||_F per call, over the parts
+``TruncatedWeylOperator._sigma_parts`` picks once per operator:
 
-- n <= ``DENSE_SVD_CUTOFF`` (140): a full dense SVD of M - z; the dense
-  form of M is built once per operator and reused for every shift.
-- larger n: the smallest sigma_min over the blocks.  Blocks of size
-  <= ``DENSE_SVD_CUTOFF`` take dense SVDs, one stacked call per block size
-  (the harmonic oscillator's n blocks of size 1 take one).  A larger
-  block B = M_b - z is factored once with SuperLU, and ARPACK runs Lanczos
-  on the real symmetric 2m embedding of v -> B^{-1} B^{-H} v, whose
-  largest eigenvalue is 1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci.
-  Comput. 23, 2001), to a residual tolerance of 1e-10; the Ritz value's
-  error is quadratic in it.  The start vector is fixed, so the result is
-  reproducible at a fixed BLAS thread count.
+- n <= ``DENSE_SVD_CUTOFF`` (140): the whole matrix, one dense SVD per shift.
+- larger n: the blocks.  Blocks of size <= ``DENSE_SVD_CUTOFF`` take dense
+  SVDs, one stacked call per block size and shift.  A larger block
+  B = M_b - z is factored with SuperLU, and ARPACK runs Lanczos on the real
+  symmetric 2m embedding of v -> B^{-1} B^{-H} v, whose largest eigenvalue
+  is 1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001), to
+  a residual tolerance of 1e-10; the Ritz value's error is quadratic in it.
+  The start vector is fixed, so the result is reproducible at a fixed BLAS
+  thread count.
 
-The cutoff sits a little above the measured crossover of the two engines'
-single-threaded run times on one block (about 115 for d = 1, 130 for
-d = 2).  Up to it the matrix is not split: that would move its results in
-the last digits, and the benchmark's pseudospectrum oracle allows an
-absolute slack (1e-12 in log10) below its own SVD rounding.  Either way,
-sigma_min below 1e-14 ||M||_F (or an exactly singular LU factor) is
-reported as an infinite norm, the infinity signal.  Spectra (``spectrum_truncated``) use a dense
+Each shift takes the same arithmetic as a scalar call.  The cutoff sits a
+little above the measured crossover of the two engines' single-threaded
+run times on one block (about 115 for d = 1, 130 for d = 2).  Up to it the
+matrix is not split: that would move its results in the last digits, and
+the benchmark's pseudospectrum oracle allows an absolute slack (1e-12 in
+log10) below its own SVD rounding.  Either way, sigma_min below
+1e-14 ||M||_F (or an exactly singular LU factor) is reported as an infinite
+norm, the infinity signal.  Spectra (``spectrum_truncated``) use a dense
 eigensolver on each block.
 """
 
@@ -118,11 +118,6 @@ class TruncatedWeylOperator:
     matrix: sp.csc_matrix = field(repr=False)
 
     @cached_property
-    def dense(self):
-        """The matrix as a dense array, built on first use and kept."""
-        return self.matrix.toarray()
-
-    @cached_property
     def blocks(self):
         """Diagonal blocks of the matrix, as (basis indices, block) pairs.
 
@@ -162,8 +157,12 @@ class TruncatedWeylOperator:
 
     @cached_property
     def _sigma_parts(self):
-        """``blocks`` as ``resolvent_norm`` takes them: the dense blocks of
+        """The parts ``resolvent_norm`` takes sigma_min over, and so the one
+        place an engine is chosen.  Up to ``DENSE_SVD_CUTOFF`` basis size the
+        whole matrix as a (1, n, n) stack; beyond it, the dense ``blocks`` of
         each size stacked into one (count, m, m) array, then the sparse ones."""
+        if self.matrix.shape[0] <= DENSE_SVD_CUTOFF:
+            return [self.matrix.toarray()[None]]
         stacks, sparse = {}, []
         for _, b in self.blocks:
             if sp.issparse(b):
@@ -271,8 +270,8 @@ def _sigma_min_sparse(B):
 
 
 def _sigma_min(B, z):
-    """sigma_min(B - z) of a sparse matrix, or the smallest over a dense
-    matrix or a (count, m, m) stack of them, by one SVD call."""
+    """sigma_min(B - z) of a sparse matrix, or the smallest over a
+    (count, m, m) stack of dense ones, by one SVD call."""
     m = B.shape[-1]
     if isinstance(B, np.ndarray):
         return float(np.linalg.svd(B - z * np.eye(m), compute_uv=False)[..., -1].min())
@@ -282,22 +281,20 @@ def _sigma_min(B, z):
 def resolvent_norm(op, z):
     """Operator norm of the truncated resolvent, 1/sigma_min(M - z).
 
-    Returns ``inf`` (the infinity signal) when sigma_min falls below
-    1e-14 * ||M||_F, i.e. when z is numerically an eigenvalue.  Uses a
-    dense SVD of the whole matrix up to ``DENSE_SVD_CUTOFF`` basis size and,
-    beyond it, the smallest of the values of ``op.blocks``.  A non-finite z
-    raises DomainError.
+    ``z`` is a complex scalar or array: a 0-d input gives a float, an array
+    an array of its shape.  Each shift takes the smallest sigma_min over
+    ``op._sigma_parts``.  Returns ``inf`` (the infinity signal) where
+    sigma_min falls below 1e-14 * ||M||_F, i.e. where z is numerically an
+    eigenvalue.  A non-finite z raises DomainError.
     """
-    z = complex(z)
-    if not np.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
-    M = op.matrix
-    parts = [op.dense] if M.shape[0] <= DENSE_SVD_CUTOFF else op._sigma_parts
-    smin = min(_sigma_min(b, z) for b in parts)
-    scale = float(np.linalg.norm(M.data))
-    if smin < INFINITY_SIGMA_RTOL * max(scale, 1e-300):
-        return math.inf
-    return 1.0 / smin
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise DomainError(f"z must be finite, got {z[~np.isfinite(z)].flat[0]}")
+    parts = op._sigma_parts
+    floor = INFINITY_SIGMA_RTOL * max(float(np.linalg.norm(op.matrix.data)), 1e-300)
+    smin = [min(_sigma_min(b, zi) for b in parts) for zi in z.ravel().tolist()]
+    out = np.array([math.inf if s < floor else 1.0 / s for s in smin]).reshape(z.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def pseudospectrum_grid(op, window, resolution):
@@ -305,21 +302,19 @@ def pseudospectrum_grid(op, window, resolution):
 
     ``window`` is (re0, re1, im0, im1) and ``resolution`` (n_re, n_im).
     Returns (re_axis, im_axis, L) with L[i_im, i_re]; infinity signals
-    propagate as +inf entries.
+    propagate as +inf entries.  A non-finite window value raises DomainError.
     """
+    if not all(math.isfinite(v) for v in window):
+        raise DomainError(f"window must be finite, got {list(window)}")
     re0, re1, im0, im1 = window
     n_re, n_im = resolution
     re_axis = np.linspace(re0, re1, n_re)
     im_axis = np.linspace(im0, im1, n_im)
-
-    def row(im):
-        out = []
-        for re in re_axis:
-            nrm = resolvent_norm(op, complex(re, im))
-            out.append(math.log10(nrm) if math.isfinite(nrm) else math.inf)
-        return out
-
-    return re_axis, im_axis, np.array([row(im) for im in im_axis])
+    zs = np.empty((n_im, n_re), dtype=complex)
+    zs.real, zs.imag = re_axis, im_axis[:, None]
+    norms = resolvent_norm(op, zs).ravel().tolist()
+    L = [math.log10(v) if math.isfinite(v) else math.inf for v in norms]
+    return re_axis, im_axis, np.array(L).reshape(zs.shape)
 
 
 def scaling_check(q, h, h2, degree, fraction=0.25):
@@ -376,11 +371,11 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
         zs = sample_admissible(region, spec, samples, rng)
         degree = suggested_degree(region.outer_radius, h, q.dim, safety=safety)
         op = quantize_quadratic(q, HermiteTruncation(q.dim, degree, h))
-        norms = np.array([resolvent_norm(op, z) for z in zs])
+        norms = resolvent_norm(op, zs)
         for _ in range(PROBE_MAX_ROUNDS):
             finer = degree + 10
             op_f = quantize_quadratic(q, HermiteTruncation(q.dim, finer, h))
-            norms_f = np.array([resolvent_norm(op_f, z) for z in zs])
+            norms_f = resolvent_norm(op_f, zs)
             ok = np.isfinite(norms) & np.isfinite(norms_f)
             rel = (
                 float(np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))

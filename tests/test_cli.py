@@ -171,6 +171,9 @@ def test_cli_bad_numeric_flag_is_domain_error(capsys, command, flag, value):
     assert captured.out == ""  # no partial CSV or summary before the error
     payload = json.loads(captured.err.strip().splitlines()[-1])
     assert payload["error"] == "DomainError"
+    if flag == "--window":  # rejected before the grid is built: no warning, only the JSON line
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "window" in payload["message"]
 
 
 @pytest.mark.parametrize("command, flag", [("spectrum", "--h"), ("region", "--C0")])
@@ -190,6 +193,23 @@ def test_cli_bad_numeric_flag_base_argv_runs(capsys):
     # the sweep above changes one flag of argument vectors that succeed
     for command, argv in _BASE_ARGV.items():
         assert run([command] + argv) == 0
+
+
+def test_cli_run_builds_its_parser_once(capsys, monkeypatch):
+    # two in-process commands parse with one parser object
+    import argparse
+
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for command in ("spectrum", "resolvent"):
+        assert run([command] + _BASE_ARGV[command]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 @pytest.mark.parametrize("flag", ["--phi", "--kappa"])

@@ -3,8 +3,11 @@ import math
 import time
 from collections import Counter
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import dcspec as dc
 from dcspec import lattice
@@ -322,6 +325,37 @@ def test_array_queries_match_scalar_and_brute_force(wedge, inner, shape):
     if n >= 4:
         every = {"", "outer bound", "inner bound", "exclusion disc"}
         assert reasons == (every if inner is not None else every - {"inner bound"})
+
+
+_WEDGE_SPEC = dc.stable_eigenvalues(dc.hamilton_map(wedge_form()))
+_WEDGE_VALUES = [v for v, _ in dc.lattice_points(_WEDGE_SPEC, 0.05, 0.6)]
+
+
+@pytest.mark.parametrize("inner", [0.15, None])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_array_queries_equal_scalar_calls_property(inner, data):
+    # arrays of any shape give exactly the per-z scalar answers; z on a
+    # lattice value is at distance 0 and never admissible
+    h = 0.05
+    region = dc.RegionSpec.with_f_value(h, 10.0, 10.0, 2, inner_radius=inner)
+    shift = st.sampled_from(_WEDGE_VALUES) | st.complex_numbers(
+        max_magnitude=0.8, allow_nan=False, allow_infinity=False
+    )
+    shape = data.draw(st.sampled_from([(), (0,), (1,), (5,), (3, 4), (2, 0)]))
+    z = data.draw(hnp.arrays(complex, shape, elements=shift))
+    dist = dc.dist_to_spectrum(_WEDGE_SPEC, h, z)
+    verdict = dc.admissible(region, _WEDGE_SPEC, z)
+    if z.ndim == 0:
+        assert type(dist) is float and type(verdict.admissible) is bool
+    for i, zi in enumerate(z.ravel().tolist()):
+        one = dc.admissible(region, _WEDGE_SPEC, zi)
+        assert np.ravel(dist)[i] == dc.dist_to_spectrum(_WEDGE_SPEC, h, zi) == one.dist
+        assert np.ravel(verdict.dist)[i] == one.dist
+        assert np.ravel(verdict.admissible)[i] == one.admissible
+        assert np.ravel(verdict.reason)[i] == one.reason
+        if zi in _WEDGE_VALUES:
+            assert one.dist == 0.0 and not one.admissible
 
 
 def full_scan_dist(spec, h, z):

@@ -1,10 +1,14 @@
+import functools
 import itertools
 import math
 from importlib import resources
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
 import dcspec as dc
 from dcspec.cli import parse_symbol_spec
@@ -269,6 +273,47 @@ def test_resolvent_norm_matches_dense_svd(q, N, h, engine):
         assert dc.resolvent_norm(op, z) == pytest.approx(want, rel=1e-10)
 
 
+# one operator per sigma_min engine: the whole matrix, dense blocks, sparse blocks
+_ENGINE_OPS = {
+    "whole": (davies_form(1.0), 40, 1.0),  # n = 41
+    "dense": (parse_symbol_spec("wedge_model.json"), 20, 0.1),  # blocks 66, 55, 55, 55
+    "sparse": (davies_form(1.0), 300, 1.0),  # blocks 151, 150
+}
+
+
+@functools.cache
+def _engine_op(engine):
+    """The operator of ``engine`` and its three lowest eigenvalues."""
+    q, N, h = _ENGINE_OPS[engine]
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+    assert _largest_block_engine(op) == engine
+    return op, [complex(v) for v in dc.spectrum_truncated(op, 3)]
+
+
+_SHAPES = st.sampled_from([(), (0,), (1,), (4,), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("engine", list(_ENGINE_OPS))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_resolvent_norm_array_equals_scalar_calls(engine, data):
+    # an array of shifts gives exactly the per-shift scalar values, in
+    # z's shape; a shift on an eigenvalue gives the infinity signal
+    op, eigs = _engine_op(engine)
+    shift = st.sampled_from(eigs) | st.complex_numbers(
+        max_magnitude=6, allow_nan=False, allow_infinity=False
+    )
+    zs = data.draw(hnp.arrays(complex, data.draw(_SHAPES), elements=shift))
+    got = dc.resolvent_norm(op, zs)
+    if zs.ndim == 0:
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+    want = [dc.resolvent_norm(op, z) for z in zs.ravel().tolist()]
+    assert np.ravel(got).tolist() == want
+    assert np.isinf(np.ravel(got)[np.isin(zs.ravel(), eigs)]).all()
+
+
 def test_resolvent_norm_matches_dense_svd_at_probe_shifts(kfp):
     # admissible points drawn as probe-theorem draws them, where the
     # shift sits inside the numerical range; kfp's degree shells are all
@@ -460,7 +505,7 @@ def test_sigma_min_against_mpmath_svd(q, N, h):
     from dcspec.weyl import multi_indices
 
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
-    lowest = sorted(np.linalg.eigvals(op.dense), key=abs)[:3]
+    lowest = sorted(np.linalg.eigvals(op.matrix.toarray()), key=abs)[:3]
     parity = multi_indices(q.dim, N).sum(1) % 2
     parity_blocks = [op.matrix[parity == p][:, parity == p] for p in (0, 1)]
     with mp.workdps(30):
@@ -488,3 +533,7 @@ def test_non_finite_h_and_z_rejected(harmonic, davies):
         for z in (complex(math.nan, 0), complex(0.2, math.inf), math.nan):
             with pytest.raises(DomainError):
                 dc.resolvent_norm(op, z)
+        # one non-finite entry among finite ones rejects the whole array
+        zs = np.array([[0.2, 0.25 + 0.1j], [complex(0.3, math.inf), 0.15]])
+        with pytest.raises(DomainError):
+            dc.resolvent_norm(op, zs)
