@@ -7,6 +7,8 @@ Re F (Im F)^k, k = 0..2d-1, which suffice by Cayley-Hamilton.
 
 Flow averages of the real part are computed in closed form from one
 matrix exponential (Van Loan, IEEE TAC 23, 1978), with no quadrature.
+It is taken once per (form, T) and shared, through a one-entry memo,
+with ``weight_gq`` and ``averaging_identity_defect`` in :mod:`dcspec.weights`.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import sym, frob
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, NumericalFailureError, PreconditionError
 from .symplectic import hamilton_map, phase_point
 
 __all__ = [
@@ -106,6 +108,20 @@ def singular_space(fmap, tolerance=DEFAULT_KERNEL_TOL):
     return RealSubspace(n, basis, tolerance)
 
 
+def _kronecker_sum(A):
+    """kron(A, I) + kron(I, A) in one broadcast, with the same products."""
+    n = A.shape[0]
+    I = np.eye(n)
+    K = A[:, None, :, None] * I[None, :, None, :] + I[:, None, :, None] * A[None, :, None, :]
+    return K.reshape(n * n, n * n)
+
+
+# (key, total, ramp) of the last _flow_integrals call.  Its callers run
+# back to back on one form, so one entry serves them all.  The entry is
+# replaced whole, so a key is never read with another form's values.
+_flow_memo = None
+
+
 def _flow_integrals(q, T):
     """int_0^T Phi dt and int_0^T (1 - t/T) Phi dt, Phi(t) = M(t)^T Re A M(t).
 
@@ -115,21 +131,34 @@ def _flow_integrals(q, T):
     matrix C = [[K, vec Re A, 0], [0, 0, 1], [0, 0, 0]]; columns m and
     m + 1 of exp(T C), m = (2d)^2, hold int_0^T Phi and
     int_0^T (T - t) Phi exactly, up to the rounding of one expm.
+
+    The last result is memoised by content, (dim, coefficient bytes, T),
+    and every call returns fresh copies.  A flow that overflows raises
+    :class:`NumericalFailureError` and is not memoised.
     """
+    global _flow_memo
     if not 0 < T < math.inf:
         raise DomainError(f"averaging time T must be positive and finite, got {T}")
-    H = 2.0 * hamilton_map(q).imag
-    n = H.shape[0]
-    m = n * n
-    I = np.eye(n)
-    C = np.zeros((m + 2, m + 2))
-    C[:m, :m] = np.kron(H.T, I) + np.kron(I, H.T)
-    C[:m, m] = q.matrix.real.ravel()
-    C[m, m + 1] = 1.0
-    E = sla.expm(T * C)
-    total = E[:m, m].reshape(n, n)
-    ramp = E[:m, m + 1].reshape(n, n) / T
-    return sym(total), sym(ramp)
+    key = (q.dim, q.matrix.tobytes(), T)
+    entry = _flow_memo
+    if entry is None or entry[0] != key:
+        H = 2.0 * hamilton_map(q).imag
+        n = H.shape[0]
+        m = n * n
+        C = np.zeros((m + 2, m + 2))
+        C[:m, :m] = _kronecker_sum(H.T)
+        C[:m, m] = q.matrix.real.ravel()
+        C[m, m + 1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = sla.expm(T * C)
+            total = sym(E[:m, m].reshape(n, n))
+            ramp = sym(E[:m, m + 1].reshape(n, n) / T)
+        if not (np.isfinite(total).all() and np.isfinite(ramp).all()):
+            raise NumericalFailureError(
+                f"the flow exponential overflows at averaging time T = {T}"
+            )
+        entry = _flow_memo = (key, total, ramp)
+    return entry[1].copy(), entry[2].copy()
 
 
 def averaged_real_part(q, T=1.0):
@@ -158,10 +187,11 @@ def positivity_equivalence_check(q, T=1.0, tolerance=DEFAULT_KERNEL_TOL):
     space = singular_space(hamilton_map(q), tolerance=tolerance)
     avg = averaged_real_part(q, T)
     threshold = POSITIVITY_TOL * frob(avg.matrix)
-    positive = avg.min_eigenvalue > threshold
+    min_avg = avg.min_eigenvalue
+    positive = min_avg > threshold
     return PositivityReport(
         s_dim=space.dim,
-        min_eigenvalue=avg.min_eigenvalue,
+        min_eigenvalue=min_avg,
         threshold=threshold,
         consistent=(space.dim == 0) == positive,
     )

@@ -98,7 +98,8 @@ def weight_gq(q, T=1.0):
     M(t) = exp(2 t Im F) is the flow of the imaginary part.  When Im q = 0
     the flow is the identity and G reduces to (T/2) Re A.  The integral is
     exact up to the rounding of one matrix exponential (Van Loan's block
-    form, shared with :func:`averaged_real_part`).
+    form), taken once per (form, T) and shared with
+    :func:`averaged_real_part` and :func:`averaging_identity_defect`.
     """
     _, ramp = _flow_integrals(q, T)
     return QuadraticWeight(T, ramp)
@@ -110,7 +111,8 @@ def averaging_identity_defect(q, T=1.0):
     The derivative of the weight along the flow has form matrix
     sym(H^T G + G H) with H = 2 Im F; by integration by parts it equals
     the averaged matrix minus Re A exactly.  Both integrals come from the
-    same matrix exponential, so this measures its rounding error.
+    same matrix exponential, so this measures its rounding error; right
+    after :func:`weight_gq` on the same form and T it takes no new one.
 
     The returned defect is absolute.  G and the average grow with the flow,
     like exp(2 ||Im F|| T), and so does the rounding error: compare it with

@@ -102,6 +102,26 @@ def test_cli_numerical_failure_exit_code(capsys, monkeypatch):
     assert payload["error"] == "NumericalFailureError"
 
 
+@pytest.mark.parametrize("command", [["singular-space"], ["deform", "--delta", "0"]])
+def test_cli_overflowing_flow_exit_code(tmp_path, capsys, command):
+    # x^2 + i x xi at T = 400: the flow exponential overflows.  Exit 3 with
+    # one JSON line, nothing on stdout, and no numpy warning (pytest turns
+    # a RuntimeWarning into an error)
+    sym_file = tmp_path / "hyperbolic.json"
+    sym_file.write_text(json.dumps({"dim": 1, "terms": [
+        {"alpha": [2], "beta": [0], "re": 1.0},
+        {"alpha": [1], "beta": [1], "im": 1.0},
+    ]}))
+    argv = [command[0], "--symbol", str(sym_file), "--T", "400"] + command[1:]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NumericalFailureError"
+    assert "T = 400" in payload["message"]
+
+
 def test_cli_lapack_failure_exit_code(capsys, monkeypatch):
     import dcspec.cli as cli
 

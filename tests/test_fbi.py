@@ -1,5 +1,9 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
 
 import dcspec as dc
 from dcspec._linalg import sym
@@ -195,3 +199,24 @@ def test_roundtrip_kappa_phase_kappa(rng):
             continue
         again = dc.kappa_of_phase(phase)
         assert np.allclose(again.matrix, bmap.matrix, atol=1e-9 * max(1, np.linalg.norm(M)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kappa_phase_kappa_roundtrip_property(data):
+    # canonical maps K0 exp(-0.3 J S) near the standard Gaussian map K0,
+    # S complex symmetric: the phase is either refused with a typed error
+    # or regenerates the map
+    dim = data.draw(st.integers(1, 3))
+    entries = hnp.arrays(float, (2 * dim, 2 * dim), elements=st.floats(-1, 1))
+    S = sym(data.draw(entries) + 1j * data.draw(entries))
+    M = dc.kappa_of_phase(dc.standard_phase(dim)).matrix @ sla.expm(
+        -0.3 * dc.standard_j(dim) @ S
+    )
+    bmap = dc.BlockCanonicalMap.from_matrix(M)
+    try:
+        phase = dc.phase_of_kappa(bmap)
+    except (SingularBlockError, NotFbiPhaseError):
+        return
+    again = dc.kappa_of_phase(phase)
+    assert np.allclose(again.matrix, M, rtol=0, atol=1e-9 * max(1, np.linalg.norm(M)))

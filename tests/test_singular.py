@@ -203,3 +203,81 @@ def test_equivalence_randomized_family(rng):
         disagreements += not rep.consistent
     assert disagreements == 0
     assert time.monotonic() - t0 < 30
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count scipy.linalg.expm calls, starting from an empty flow memo."""
+    from dcspec import singular
+
+    calls = []
+    real_expm = singular.sla.expm
+
+    def counting(A):
+        calls.append(A.shape)
+        return real_expm(A)
+
+    monkeypatch.setattr(singular.sla, "expm", counting)
+    monkeypatch.setattr(singular, "_flow_memo", None)
+    return calls
+
+
+def test_flow_exponential_shared_by_its_three_callers(expm_calls):
+    q = family_form(1, 1, 0)
+    dc.positivity_equivalence_check(q, T=1.0)
+    dc.weight_gq(q, T=1.0)
+    dc.averaging_identity_defect(q, T=1.0)
+    dc.averaged_real_part(q, T=1.0)
+    assert len(expm_calls) == 1
+    dc.weight_gq(q, T=2.0)  # a new T
+    assert len(expm_calls) == 2
+    dc.weight_gq(kfp_form(2.0), T=2.0)  # a new form
+    assert len(expm_calls) == 3
+    # equal coefficients in a new object: served from the memo
+    dc.weight_gq(dc.QuadraticForm(2, kfp_form(2.0).matrix.copy()), T=2.0)
+    assert len(expm_calls) == 3
+
+
+def test_flow_memo_returns_fresh_copies(expm_calls):
+    from dcspec import singular
+
+    q = kfp_form(1.0)
+    cold_w = dc.weight_gq(q, T=1.5).matrix.copy()
+    cold_avg = dc.averaged_real_part(q, T=1.5).matrix.copy()
+    cold_defect = dc.averaging_identity_defect(q, T=1.5)
+    dc.weight_gq(q, T=1.5).matrix[:] = np.nan  # written in place by a caller
+    total, ramp = singular._flow_integrals(q, 1.5)
+    total[:] = ramp[:] = np.nan
+    assert np.array_equal(dc.weight_gq(q, T=1.5).matrix, cold_w)
+    assert np.array_equal(dc.averaged_real_part(q, T=1.5).matrix, cold_avg)
+    assert dc.averaging_identity_defect(q, T=1.5) == cold_defect
+    assert len(expm_calls) == 1
+    # warm results equal the cold ones of a fresh computation
+    singular._flow_memo = None
+    assert np.array_equal(dc.weight_gq(q, T=1.5).matrix, cold_w)
+    assert len(expm_calls) == 2
+
+
+def test_overflowing_flow_is_numerical_failure(expm_calls):
+    # x^2 + i x xi: the flow stretches like exp(2T), which overflows the
+    # Van Loan exponential near T = 355; nothing is memoised
+    from dcspec import singular
+    from dcspec.errors import NumericalFailureError
+
+    q = dc.build_quadratic_form(1, {((2,), (0,)): 1.0, ((1,), (1,)): 1j})
+    for call in (dc.averaged_real_part, dc.weight_gq, dc.averaging_identity_defect):
+        with pytest.raises(NumericalFailureError, match="T = 400"):
+            call(q, T=400.0)
+        assert singular._flow_memo is None
+    assert np.isfinite(dc.weight_gq(q, T=300.0).matrix).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kronecker_sum_equals_two_krons(d, rng):
+    from dcspec.singular import _kronecker_sum
+
+    A = rng.standard_normal((2 * d, 2 * d))
+    A[0, -1] = -0.0  # signed zeros take the same products too
+    I = np.eye(2 * d)
+    want = np.kron(A, I) + np.kron(I, A)
+    assert _kronecker_sum(A).tobytes() == want.tobytes()

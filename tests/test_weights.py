@@ -1,6 +1,8 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
 from scipy.integrate import quad_vec
 
 import dcspec as dc
@@ -179,6 +181,33 @@ def test_canonical_normalizer_properties(q, rng):
         qk = dc.QuadraticForm(q.dim, sym(kappa.matrix.T @ q.matrix @ kappa.matrix))
         lam_k = np.linalg.eigvals(dc.hamilton_map(qk).matrix)
         assert multiset_defect(lam_f, lam_k) <= 1e-8
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    corank=st.integers(0, 1),
+    frac=st.floats(0, 0.9),
+)
+def test_canonical_normalizer_keeps_hamilton_spectrum_property(seed, d, corank, frac):
+    # Gaussian forms with Re A >= 0 of corank 0 or 1, at delta up to
+    # 0.9 delta_max; q o kappa has Hamilton map kappa^-1 F kappa, so the
+    # spectra agree up to rounding amplified by cond(kappa).  The forms are
+    # drawn by seed, so they are generic: drawn entry by entry they reach a
+    # nilpotent H_G, whose rounding-level delta_max makes
+    # canonical_normalizer raise, an open defect.
+    rng = np.random.default_rng(seed)
+    n = 2 * d
+    q = dc.QuadraticForm(
+        d, random_psd_real_form(rng, d, n - corank) + 1j * sym(rng.standard_normal((n, n)))
+    )
+    w = dc.weight_gq(q, T=1.0)
+    kappa = dc.canonical_normalizer(w, frac * dc.delta_max(w))
+    F = dc.hamilton_map(q).matrix
+    qk = dc.QuadraticForm(d, sym(kappa.matrix.T @ q.matrix @ kappa.matrix))
+    defect = multiset_defect(np.linalg.eigvals(F), np.linalg.eigvals(dc.hamilton_map(qk).matrix))
+    assert defect <= 1e-12 * np.linalg.norm(F) * np.linalg.cond(kappa.matrix)
 
 
 def test_delta_too_large_signal(kfp):
