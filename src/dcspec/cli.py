@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -142,12 +143,14 @@ def parse_symbol_spec(path):
 
     Schema: {"dim": d, "terms": [{"alpha": [...], "beta": [...],
     "re": r, "im": i}, ...]} with length-d multi-indices of total degree 2.
-    Bundled names like ``kfp.json`` resolve to the packaged files.
+    A bare name like ``kfp.json`` resolves to the packaged file of that name,
+    if there is one; a path with a directory part, like ``./kfp.json``, is a file.
     """
-    try:
-        path = bundled_symbol_path(path)
-    except FileNotFoundError:
-        pass
+    if os.path.basename(path) == path:
+        try:
+            path = bundled_symbol_path(path)
+        except FileNotFoundError:
+            pass
     doc = _read_json_object(path)
     if not isinstance(doc.get("terms"), list):
         raise SymbolSchemaError(f"{path}: 'terms' must be a list")
@@ -252,26 +255,24 @@ def region_svg(outer, inner, rexc, lattice):
     return _svg_document(parts)
 
 
-def heat_svg(rows):
-    """Pseudospectrum shading from rows of (re, im, log10norm) as a
-    deterministic SVG document; darker is larger, infinite is black."""
-    res = sorted({float(r[0]) for r in rows})
-    ims = sorted({float(r[1]) for r in rows})
-    finite = [float(r[2]) for r in rows if math.isfinite(float(r[2]))]
-    lo = min(finite) if finite else 0.0
-    hi = max(finite) if finite else 1.0
+def heat_svg(re_axis, im_axis, L):
+    """The grid of ``pseudospectrum_grid``, L[i, j] at re_axis[j] + i im_axis[i],
+    as a deterministic SVG document; darker is larger, infinite is black.  A cell
+    sits at the rank of its coordinates among the distinct axis values."""
+    res, col = np.unique(re_axis, return_inverse=True)
+    ims, row = np.unique(im_axis, return_inverse=True)
+    finite = L[np.isfinite(L)]
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     span = hi - lo if hi > lo else 1.0
     w = SVG_SIZE / max(len(res), 1)
     hh = SVG_SIZE / max(len(ims), 1)
-    col = {v: i for i, v in enumerate(res)}
-    rowi = {v: i for i, v in enumerate(ims)}
     parts = []
-    for re, im, val in rows:
-        v = float(val)
+    for i, j in np.ndindex(L.shape):
+        v = float(L[i, j])
         t = 1.0 if not math.isfinite(v) else (v - lo) / span
         shade = int(round(255 * (1.0 - t)))
-        x = col[float(re)] * w
-        y = (len(ims) - 1 - rowi[float(im)]) * hh
+        x = int(col[j]) * w
+        y = (len(ims) - 1 - int(row[i])) * hh
         parts.append(
             f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" height="{hh:.6g}" '
             f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
@@ -430,7 +431,7 @@ def _cmd_pseudospectrum(args):
     _write_csv(args.out, ["re", "im", "log10norm"], columns)
     if args.svg:
         with open(args.svg, "w") as f:
-            f.write(heat_svg(list(zip(*columns))))
+            f.write(heat_svg(re_axis, im_axis, grid))
     _emit_json(
         {
             "N": args.N,

@@ -179,14 +179,6 @@ class CanonicityDefects:
         return max(self.c1, self.c2, self.c3)
 
 
-def _inv_b(bmap):
-    B = bmap.B
-    s = np.linalg.svd(B, compute_uv=False)
-    if s[-1] <= SINGULAR_TOL * max(s[0], 1e-300):
-        raise SingularBlockError("block B is numerically singular; no generating phase")
-    return np.linalg.inv(B)
-
-
 def kappa_of_phase(phase):
     """Block map of the graph transform generated by a phase.
 
@@ -200,19 +192,27 @@ def kappa_of_phase(phase):
     return BlockCanonicalMap(A, B, C, D)
 
 
+def _canonicity_parts(bmap):
+    """The block defects, with B^-1, D B^-1 and B^-1 A from one inversion."""
+    s = np.linalg.svd(bmap.B, compute_uv=False)
+    if s[-1] <= SINGULAR_TOL * max(s[0], 1e-300):
+        raise SingularBlockError("block B is numerically singular; no generating phase")
+    Binv = np.linalg.inv(bmap.B)
+    DB = bmap.D @ Binv
+    BA = Binv @ bmap.A
+    c1 = frob(DB.T - DB)
+    c2 = frob(BA.T - BA)
+    c3 = frob(-Binv.T - (bmap.C - DB @ bmap.A))
+    return CanonicityDefects(c1, c2, c3), Binv, DB, BA
+
+
 def canonicity_conditions(bmap):
     """Residual norms of the three block conditions equivalent to canonicity:
 
     (i)  D B^-1 symmetric, (ii) B^-1 A symmetric,
     (iii) -(B^-1)^T = C - D B^-1 A.
     """
-    Binv = _inv_b(bmap)
-    DB = bmap.D @ Binv
-    BA = Binv @ bmap.A
-    c1 = frob(DB.T - DB)
-    c2 = frob(BA.T - BA)
-    c3 = frob(-Binv.T - (bmap.C - DB @ bmap.A))
-    return CanonicityDefects(c1, c2, c3)
+    return _canonicity_parts(bmap)[0]
 
 
 def phase_of_kappa(bmap, tol=CONDITION_TOL):
@@ -224,18 +224,13 @@ def phase_of_kappa(bmap, tol=CONDITION_TOL):
     when the phase exists but Im yy fails to be positive definite, which
     canonicity does not guarantee.
     """
-    defects = canonicity_conditions(bmap)
+    defects, Binv, DB, BA = _canonicity_parts(bmap)
     scale = max(1.0, frob(bmap.matrix) ** 2)
     if defects.max() > tol * scale:
         raise NotCanonicalError(
             f"block conditions violated: defects {defects} exceed {tol:g} * {scale:g}"
         )
-    Binv = np.linalg.inv(bmap.B)
-    xx = sym(bmap.D @ Binv)
-    yy = sym(Binv @ bmap.A)
-    xy = -Binv.T
-    if np.linalg.eigvalsh(yy.imag).min() <= 0:
-        raise NotFbiPhaseError(
-            "map is canonical but Im yy <= 0: not an admissible transform phase"
-        )
-    return FbiPhase(bmap.dim, xx, xy, yy)
+    try:
+        return FbiPhase(bmap.dim, DB, -Binv.T, BA)
+    except InvalidPhaseError as exc:
+        raise NotFbiPhaseError(f"map is canonical but its phase is not admissible: {exc}") from exc

@@ -371,16 +371,18 @@ def sample_admissible(region, spec, count, rng):
     out = []
     for _ in range(SAMPLE_MAX_TRIES):
         if len(out) >= count:
-            return out
+            break
         u = rng.random()
         theta = rng.random() * 2.0 * math.pi
         r = math.sqrt(inner**2 + u * (outer**2 - inner**2))
         z = r * complex(math.cos(theta), math.sin(theta))
         if admissible(region, spec, z).admissible:
             out.append(z)
-    raise NumericalFailureError(
-        f"could not sample {count} admissible points in {SAMPLE_MAX_TRIES} tries"
-    )
+    if len(out) < count:
+        raise NumericalFailureError(
+            f"could not sample {count} admissible points in {SAMPLE_MAX_TRIES} tries"
+        )
+    return out
 
 
 def exclusion_discs(region, spec):

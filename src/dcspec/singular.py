@@ -7,10 +7,11 @@ Re F (Im F)^k, k = 0..2d-1, which suffice by Cayley-Hamilton.
 
 Flow averages of the real part are computed in closed form from one
 matrix exponential (Van Loan, IEEE TAC 23, 1978), with no quadrature.
-It is taken once per (form, T) and shared, through a one-entry memo,
-with ``weight_gq`` and ``averaging_identity_defect`` in :mod:`dcspec.weights`.
+It is taken once per (form, T) and shared through a one-entry cache with
+``weight_gq`` and ``averaging_identity_defect`` in :mod:`dcspec.weights`.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import scipy.linalg as sla
 
 from ._linalg import sym, frob
 from .errors import DomainError, NumericalFailureError, PreconditionError
-from .symplectic import hamilton_map, phase_point
+from .symplectic import QuadraticForm, hamilton_map, phase_point
 
 __all__ = [
     "RealSubspace",
@@ -116,49 +117,44 @@ def _kronecker_sum(A):
     return K.reshape(n * n, n * n)
 
 
-# (key, total, ramp) of the last _flow_integrals call.  Its callers run
-# back to back on one form, so one entry serves them all.  The entry is
-# replaced whole, so a key is never read with another form's values.
-_flow_memo = None
-
-
-def _flow_integrals(q, T):
-    """int_0^T Phi dt and int_0^T (1 - t/T) Phi dt, Phi(t) = M(t)^T Re A M(t).
+@functools.lru_cache(maxsize=1)  # its callers run back to back on one form
+def _flow_exponential(dim, coefficients, T):
+    """int_0^T Phi dt and int_0^T (1 - t/T) Phi dt, Phi(t) = M(t)^T Re A M(t),
+    for the form given by its dimension and coefficient bytes.
 
     M(t) = exp(t H) with H = 2 Im F, so Phi solves the linear flow
     Phi' = H^T Phi + Phi H with generator K = H^T (+) H^T (Kronecker sum)
     on vec Phi.  Appending two integrator states to K gives the block
     matrix C = [[K, vec Re A, 0], [0, 0, 1], [0, 0, 0]]; columns m and
     m + 1 of exp(T C), m = (2d)^2, hold int_0^T Phi and
-    int_0^T (T - t) Phi exactly, up to the rounding of one expm.
-
-    The last result is memoised by content, (dim, coefficient bytes, T),
-    and every call returns fresh copies.  A flow that overflows raises
-    :class:`NumericalFailureError` and is not memoised.
+    int_0^T (T - t) Phi exactly, up to the rounding of one expm.  A flow
+    that overflows raises :class:`NumericalFailureError`, which is not cached.
     """
-    global _flow_memo
+    A = np.frombuffer(coefficients, dtype=complex).reshape(2 * dim, 2 * dim)
+    H = 2.0 * hamilton_map(QuadraticForm(dim, A)).imag
+    n = H.shape[0]
+    m = n * n
+    C = np.zeros((m + 2, m + 2))
+    C[:m, :m] = _kronecker_sum(H.T)
+    C[:m, m] = A.real.ravel()
+    C[m, m + 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = sla.expm(T * C)
+        total = sym(E[:m, m].reshape(n, n))
+        ramp = sym(E[:m, m + 1].reshape(n, n) / T)
+    if not (np.isfinite(total).all() and np.isfinite(ramp).all()):
+        raise NumericalFailureError(
+            f"the flow exponential overflows at averaging time T = {T}"
+        )
+    return total, ramp
+
+
+def _flow_integrals(q, T):
+    """Fresh copies of :func:`_flow_exponential` of q, keyed by content, at a valid T."""
     if not 0 < T < math.inf:
         raise DomainError(f"averaging time T must be positive and finite, got {T}")
-    key = (q.dim, q.matrix.tobytes(), T)
-    entry = _flow_memo
-    if entry is None or entry[0] != key:
-        H = 2.0 * hamilton_map(q).imag
-        n = H.shape[0]
-        m = n * n
-        C = np.zeros((m + 2, m + 2))
-        C[:m, :m] = _kronecker_sum(H.T)
-        C[:m, m] = q.matrix.real.ravel()
-        C[m, m + 1] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = sla.expm(T * C)
-            total = sym(E[:m, m].reshape(n, n))
-            ramp = sym(E[:m, m + 1].reshape(n, n) / T)
-        if not (np.isfinite(total).all() and np.isfinite(ramp).all()):
-            raise NumericalFailureError(
-                f"the flow exponential overflows at averaging time T = {T}"
-            )
-        entry = _flow_memo = (key, total, ramp)
-    return entry[1].copy(), entry[2].copy()
+    total, ramp = _flow_exponential(q.dim, q.matrix.tobytes(), T)
+    return total.copy(), ramp.copy()
 
 
 def averaged_real_part(q, T=1.0):

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import sym, frob, symplectic_defect
-from .errors import DeltaTooLargeError, DomainError
+from .errors import DeltaTooLargeError, DomainError, NumericalFailureError
 from .singular import _flow_integrals
 from .symplectic import hamilton_map, standard_j
 
@@ -117,12 +117,16 @@ def averaging_identity_defect(q, T=1.0):
     The returned defect is absolute.  G and the average grow with the flow,
     like exp(2 ||Im F|| T), and so does the rounding error: compare it with
     2 ||H|| ||G|| + ||<Re q>_T||, against which it stays near machine
-    precision at every T, rather than with ||A|| alone.
+    precision at every T, rather than with ||A|| alone.  A defect whose
+    norm overflows raises :class:`NumericalFailureError`.
     """
     total, G = _flow_integrals(q, T)
     H = 2.0 * hamilton_map(q).imag
-    lhs = sym(H.T @ G + G @ H)
-    return frob(lhs - (total / T - q.matrix.real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = frob(sym(H.T @ G + G @ H) - (total / T - q.matrix.real))
+    if not np.isfinite(defect):
+        raise NumericalFailureError(f"the averaging identity defect overflows at T = {T}")
+    return defect
 
 
 def _check_delta(delta):
@@ -165,9 +169,11 @@ def canonical_normalizer(weight, delta):
         raise DeltaTooLargeError(
             f"delta = {delta} >= delta_max = {delta_max(weight):.6g}"
         )
-    T_op = np.eye(n) + delta**2 * (H @ H)
-    root = sla.sqrtm(T_op)
-    root = np.asarray(root)
+    try:
+        T_op = np.eye(n) + float(delta) ** 2 * (H @ H)
+    except OverflowError:
+        raise NumericalFailureError(f"delta**2 overflows at delta = {delta}") from None
+    root = np.asarray(sla.sqrtm(T_op))
     if np.iscomplexobj(root):
         # principal root of a real matrix with spectrum off (-inf, 0] is real
         root = root.real

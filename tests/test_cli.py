@@ -21,6 +21,35 @@ def test_parse_bundled_harmonic():
     assert np.allclose(q.matrix, np.eye(2))
 
 
+def test_package_exports_each_module_all():
+    import types
+
+    from dcspec import errors, fbi, lattice, singular, symplectic, weights, weyl
+
+    want = {"bundled_symbol_path"}
+    for mod in (errors, symplectic, singular, lattice, weights, fbi, weyl):
+        # errors has no __all__: its public names are its exception classes
+        want.update(getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")]))
+    public = {n: v for n, v in vars(dc).items() if not n.startswith("_")}
+    modules = {n for n, v in public.items() if isinstance(v, types.ModuleType)}
+    assert all(public[n].__name__ == f"dcspec.{n}" for n in modules)
+    assert set(public) - modules == want
+    assert dc.multi_indices is weyl.multi_indices
+
+
+def test_parse_path_with_directory_is_a_file(tmp_path, monkeypatch):
+    # a local kfp.json of another dimension: "./kfp.json" is that file, the
+    # bare name "kfp.json" the bundled one
+    (tmp_path / "kfp.json").write_text(
+        '{"dim": 1, "terms": [{"alpha": [2], "beta": [0], "re": 1.0},'
+        ' {"alpha": [0], "beta": [2], "re": 2.0}]}'
+    )
+    monkeypatch.chdir(tmp_path)
+    local = parse_symbol_spec("./kfp.json")
+    assert local.dim == 1 and np.array_equal(local.matrix, np.diag([1.0, 2.0]))
+    assert np.array_equal(parse_symbol_spec("kfp.json").matrix, kfp_form(1.0).matrix)
+
+
 def test_parse_rejects_wrong_length(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 1, "terms": [{"alpha": [1], "beta": [], "re": 1.0}]}')
@@ -120,6 +149,44 @@ def test_cli_overflowing_flow_exit_code(tmp_path, capsys, command):
     payload = json.loads(line)
     assert payload["error"] == "NumericalFailureError"
     assert "T = 400" in payload["message"]
+
+
+def _assert_typed_exit_3(argv, capsys, words):
+    """Exit 3 with one JSON line naming ``words`` on stderr and nothing on stdout."""
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NumericalFailureError"
+    assert words in payload["message"]
+
+
+@pytest.mark.parametrize("T", ["200", "300"])
+def test_cli_overflowing_averaging_defect_exit_code(tmp_path, capsys, T):
+    # x^2 + i x xi: the flow exponential is finite below T = 355, but the
+    # norm of the averaging identity's terms overflows; no Infinity is printed
+    sym_file = tmp_path / "hyperbolic.json"
+    sym_file.write_text(json.dumps({"dim": 1, "terms": [
+        {"alpha": [2], "beta": [0], "re": 1.0},
+        {"alpha": [1], "beta": [1], "im": 1.0},
+    ]}))
+    argv = ["deform", "--symbol", str(sym_file), "--T", T, "--delta", "0"]
+    _assert_typed_exit_3(argv, capsys, f"T = {float(T)}")
+
+
+def test_cli_overflowing_delta_squared_exit_code(tmp_path, capsys):
+    # 1e-240 (x + xi)^2: delta_max is about 6e255, so delta_max / 2 squares past
+    # the float range
+    sym_file = tmp_path / "tiny.json"
+    sym_file.write_text(json.dumps({"dim": 1, "terms": [
+        {"alpha": [2], "beta": [0], "re": 1e-240},
+        {"alpha": [1], "beta": [1], "re": 2e-240},
+        {"alpha": [0], "beta": [2], "re": 1e-240},
+    ]}))
+    delta = dc.delta_max(dc.weight_gq(parse_symbol_spec(str(sym_file)))) / 2
+    argv = ["deform", "--symbol", str(sym_file), "--delta", repr(delta)]
+    _assert_typed_exit_3(argv, capsys, f"delta = {delta!r}")
 
 
 def test_cli_lapack_failure_exit_code(capsys, monkeypatch):
@@ -577,6 +644,21 @@ def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):
     assert shades == sorted(shades)  # darkest (smallest) near 0.11, brightening away
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1", "--N", "8", "--res", "3,2"],
+     "--window", "-1,1,-1,1"),
+    (["resolvent", "--symbol", "harmonic.json", "--h", "0.1", "--N", "8"], "--z", "-0.5,0.1"),
+])
+def test_cli_negative_comma_list_takes_equals_form(capsys, command, flag, value):
+    # argparse reads a value starting with "-" as a flag unless "=" joins it on
+    assert run(command + [f"{flag}={value}"]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["N"] == 8
+    with pytest.raises(SystemExit) as exc:
+        run(command + [flag, value])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("res", ["0,3", "3,0", "0.5,3", "2.7,3", "3,-1", "inf,3", "nan,3"])
 def test_cli_pseudospectrum_rejects_empty_or_unbounded_grid(tmp_path, capsys, res):
     csv_path = tmp_path / "grid.csv"
@@ -726,8 +808,60 @@ def test_cli_probe_theorem_byte_identical_across_processes(tmp_path):
 
 
 def test_export_svg_empty():
-    svg = heat_svg([])
+    svg = heat_svg(np.zeros(0), np.zeros(0), np.zeros((0, 0)))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def per_row_heat_svg(rows):
+    """The SVG of a renderer over (re, im, log10norm) rows that rebuilds the
+    axes from the rows: the oracle for the grid-based heat_svg."""
+    from dcspec.cli import SVG_SIZE, _svg_document
+
+    res = sorted({float(r[0]) for r in rows})
+    ims = sorted({float(r[1]) for r in rows})
+    finite = [float(r[2]) for r in rows if math.isfinite(float(r[2]))]
+    lo = min(finite) if finite else 0.0
+    hi = max(finite) if finite else 1.0
+    span = hi - lo if hi > lo else 1.0
+    w = SVG_SIZE / max(len(res), 1)
+    hh = SVG_SIZE / max(len(ims), 1)
+    col = {v: i for i, v in enumerate(res)}
+    rowi = {v: i for i, v in enumerate(ims)}
+    parts = []
+    for re_, im, val in rows:
+        v = float(val)
+        t = 1.0 if not math.isfinite(v) else (v - lo) / span
+        shade = int(round(255 * (1.0 - t)))
+        x = col[float(re_)] * w
+        y = (len(ims) - 1 - rowi[float(im)]) * hh
+        parts.append(
+            f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" height="{hh:.6g}" '
+            f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
+        )
+    return _svg_document(parts)
+
+
+_HEAT_AXES = {
+    "ascending": (np.linspace(0, 3, 5), np.linspace(-0.5, 2, 4)),
+    "descending": (np.linspace(3, 0, 5), np.linspace(2, -0.5, 4)),
+    "zero-width": (np.linspace(1, 1, 4), np.linspace(-1, 1, 3)),
+    "signed-zero": (np.linspace(-0.0, 1, 3), np.linspace(0.0, -0.0, 2)),
+    "1x1": (np.linspace(0.5, 0.5, 1), np.linspace(0.2, 0.2, 1)),
+    "empty": (np.zeros(0), np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("values", ["finite", "all-inf", "mixed-inf"])
+@pytest.mark.parametrize("axes", list(_HEAT_AXES))
+def test_heat_svg_matches_per_row_renderer(axes, values):
+    re_axis, im_axis = _HEAT_AXES[axes]
+    L = np.random.default_rng(3).uniform(-2, 5, (im_axis.size, re_axis.size))
+    if values == "all-inf":
+        L[:] = math.inf
+    elif values == "mixed-inf":
+        L.ravel()[::2] = math.inf
+    rows = zip(np.tile(re_axis, im_axis.size), np.repeat(im_axis, re_axis.size), L.ravel())
+    assert heat_svg(re_axis, im_axis, L) == per_row_heat_svg(list(rows))
 
 
 def test_console_script_installed():

@@ -94,7 +94,7 @@ def test_not_fbi_phase_signal():
     I = np.eye(2)
     bmap = dc.BlockCanonicalMap(I, 1j * I, 0 * I, I)
     assert dc.canonicity_conditions(bmap).max() < 1e-14
-    with pytest.raises(NotFbiPhaseError):
+    with pytest.raises(NotFbiPhaseError, match="not admissible: Im yy"):
         dc.phase_of_kappa(bmap)
 
 

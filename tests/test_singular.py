@@ -207,7 +207,7 @@ def test_equivalence_randomized_family(rng):
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """Count scipy.linalg.expm calls, starting from an empty flow memo."""
+    """Count scipy.linalg.expm calls, starting from an empty flow cache."""
     from dcspec import singular
 
     calls = []
@@ -218,11 +218,13 @@ def expm_calls(monkeypatch):
         return real_expm(A)
 
     monkeypatch.setattr(singular.sla, "expm", counting)
-    monkeypatch.setattr(singular, "_flow_memo", None)
+    singular._flow_exponential.cache_clear()
     return calls
 
 
 def test_flow_exponential_shared_by_its_three_callers(expm_calls):
+    from dcspec import singular
+
     q = family_form(1, 1, 0)
     dc.positivity_equivalence_check(q, T=1.0)
     dc.weight_gq(q, T=1.0)
@@ -233,9 +235,10 @@ def test_flow_exponential_shared_by_its_three_callers(expm_calls):
     assert len(expm_calls) == 2
     dc.weight_gq(kfp_form(2.0), T=2.0)  # a new form
     assert len(expm_calls) == 3
-    # equal coefficients in a new object: served from the memo
+    # equal coefficients in a new object: served from the cache
     dc.weight_gq(dc.QuadraticForm(2, kfp_form(2.0).matrix.copy()), T=2.0)
     assert len(expm_calls) == 3
+    assert singular._flow_exponential.cache_info().currsize == 1  # one entry, not one per form
 
 
 def test_flow_memo_returns_fresh_copies(expm_calls):
@@ -253,14 +256,14 @@ def test_flow_memo_returns_fresh_copies(expm_calls):
     assert dc.averaging_identity_defect(q, T=1.5) == cold_defect
     assert len(expm_calls) == 1
     # warm results equal the cold ones of a fresh computation
-    singular._flow_memo = None
+    singular._flow_exponential.cache_clear()
     assert np.array_equal(dc.weight_gq(q, T=1.5).matrix, cold_w)
     assert len(expm_calls) == 2
 
 
 def test_overflowing_flow_is_numerical_failure(expm_calls):
     # x^2 + i x xi: the flow stretches like exp(2T), which overflows the
-    # Van Loan exponential near T = 355; nothing is memoised
+    # Van Loan exponential near T = 355; nothing is cached
     from dcspec import singular
     from dcspec.errors import NumericalFailureError
 
@@ -268,7 +271,7 @@ def test_overflowing_flow_is_numerical_failure(expm_calls):
     for call in (dc.averaged_real_part, dc.weight_gq, dc.averaging_identity_defect):
         with pytest.raises(NumericalFailureError, match="T = 400"):
             call(q, T=400.0)
-        assert singular._flow_memo is None
+        assert singular._flow_exponential.cache_info().currsize == 0
     assert np.isfinite(dc.weight_gq(q, T=300.0).matrix).all()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.integrate import quad_vec
 
 import dcspec as dc
 from dcspec._linalg import sym
-from dcspec.errors import DeltaTooLargeError
+from dcspec.errors import DeltaTooLargeError, NumericalFailureError
 from conftest import family_form, kfp_form, multiset_defect, random_psd_real_form
 
 
@@ -214,3 +216,23 @@ def test_delta_too_large_signal(kfp):
     w = dc.weight_gq(kfp, T=1.0)
     with pytest.raises(DeltaTooLargeError):
         dc.canonical_normalizer(w, dc.delta_max(w) * 1.01)
+
+
+def test_canonical_normalizer_overflowing_delta_squared_is_numerical_failure():
+    # 1e-240 (x + xi)^2: delta_max is about 6e255, and delta**2 overflows a float
+    q = dc.build_quadratic_form(1, {((2,), (0,)): 1e-240, ((1,), (1,)): 2e-240,
+                                    ((0,), (2,)): 1e-240})
+    w = dc.weight_gq(q)
+    delta = dc.delta_max(w) / 2
+    with pytest.raises(NumericalFailureError, match=re.escape(f"delta = {delta!r}")):
+        dc.canonical_normalizer(w, delta)
+
+
+@pytest.mark.parametrize("T", [200.0, 300.0])
+def test_averaging_defect_overflow_is_numerical_failure(T):
+    # x^2 + i x xi: the flow exponential is finite below T = 355, but the
+    # norm of the identity's terms, which grow like exp(2T), overflows
+    q = dc.build_quadratic_form(1, {((2,), (0,)): 1.0, ((1,), (1,)): 1j})
+    assert np.isfinite(dc.weight_gq(q, T=T).matrix).all()
+    with pytest.raises(NumericalFailureError, match=f"T = {T}"):
+        dc.averaging_identity_defect(q, T=T)

@@ -314,6 +314,22 @@ def test_resolvent_norm_array_equals_scalar_calls(engine, data):
     assert np.isinf(np.ravel(got)[np.isin(zs.ravel(), eigs)]).all()
 
 
+def test_sample_admissible_counts_its_last_draw(kfp, monkeypatch):
+    # kfp at h = 0.1: the fifth admissible point comes on draw 10, so a cap of
+    # 10 draws returns the same five points as the default cap
+    from dcspec import lattice
+    from dcspec.errors import NumericalFailureError
+
+    spec = dc.stable_eigenvalues(dc.hamilton_map(kfp))
+    region = dc.RegionSpec(h=0.1, C0=0.15, C1=10.0, dim=2, inner_radius=0.3)
+    want = lattice.sample_admissible(region, spec, 5, np.random.default_rng(0))
+    monkeypatch.setattr(lattice, "SAMPLE_MAX_TRIES", 10)
+    assert lattice.sample_admissible(region, spec, 5, np.random.default_rng(0)) == want
+    monkeypatch.setattr(lattice, "SAMPLE_MAX_TRIES", 9)
+    with pytest.raises(NumericalFailureError, match="in 9 tries"):
+        lattice.sample_admissible(region, spec, 5, np.random.default_rng(0))
+
+
 def test_resolvent_norm_matches_dense_svd_at_probe_shifts(kfp):
     # admissible points drawn as probe-theorem draws them, where the
     # shift sits inside the numerical range; kfp's degree shells are all
