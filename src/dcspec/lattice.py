@@ -365,23 +365,31 @@ def admissible(region, spec, z):
 
 def sample_admissible(region, spec, count, rng):
     """Seeded rejection sampler for ``count`` admissible points in the annulus,
-    drawn one at a time, uniform in area, for at most SAMPLE_MAX_TRIES draws."""
+    uniform in area, for at most SAMPLE_MAX_TRIES draws.
+
+    Each round draws the (u, theta) pairs of the points still missing, in
+    the order one-at-a-time draws would take them, and tests them in one
+    :func:`admissible` call; a round draws no more than it can accept, so
+    the points and the generator's state match drawing one at a time.
+    """
     inner = region.inner_radius or 0.0
     outer = region.outer_radius
     out = []
-    for _ in range(SAMPLE_MAX_TRIES):
-        if len(out) >= count:
-            break
-        u = rng.random()
-        theta = rng.random() * 2.0 * math.pi
-        r = math.sqrt(inner**2 + u * (outer**2 - inner**2))
-        z = r * complex(math.cos(theta), math.sin(theta))
-        if admissible(region, spec, z).admissible:
-            out.append(z)
-    if len(out) < count:
-        raise NumericalFailureError(
-            f"could not sample {count} admissible points in {SAMPLE_MAX_TRIES} tries"
-        )
+    tries = 0
+    while len(out) < count:
+        k = min(count - len(out), SAMPLE_MAX_TRIES - tries)
+        if k == 0:
+            raise NumericalFailureError(
+                f"could not sample {count} admissible points in {SAMPLE_MAX_TRIES} tries"
+            )
+        tries += k
+        zs = []
+        for u, t in rng.random((k, 2)).tolist():
+            theta = t * 2.0 * math.pi
+            r = math.sqrt(inner**2 + u * (outer**2 - inner**2))
+            zs.append(r * complex(math.cos(theta), math.sin(theta)))
+        ok = admissible(region, spec, np.array(zs)).admissible
+        out += [z for z, a in zip(zs, ok.tolist()) if a]
     return out
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "canonical_normalizer",
 ]
 
+_EPS = float(np.finfo(float).eps)
+
 
 def j_profile(t):
     """Triangular profile with distributional derivative delta_0 - 1_[-1,0].
@@ -148,9 +150,20 @@ def ellipticity_margin(deformed):
 
 
 def delta_max(weight):
-    """Largest deformation with spectral radius of delta^2 H_G^2 below 1."""
-    rho = float(np.max(np.abs(np.linalg.eigvals(weight.hamilton_matrix))))
-    return np.inf if rho == 0.0 else 1.0 / rho
+    """Largest deformation with spectral radius of delta^2 H_G^2 below 1.
+
+    A nilpotent H_G has spectrum {0} and no bound, but its computed
+    eigenvalues are rounding of size up to u^(1/k) ||H_G|| for a Jordan
+    block of size k (3e-9 i for d = 1).  So H_G is read as nilpotent, and
+    the bound as inf, when its n-th power (n = 2d), scaled by its largest
+    entry, is zero to rounding: no entry above n^2 times the machine epsilon.
+    """
+    H = weight.hamilton_matrix
+    n = len(H)
+    scale = float(np.max(np.abs(H)))
+    if scale == 0.0 or np.max(np.abs(np.linalg.matrix_power(H / scale, n))) <= n * n * _EPS:
+        return np.inf
+    return 1.0 / float(np.max(np.abs(np.linalg.eigvals(H))))
 
 
 def canonical_normalizer(weight, delta):
@@ -160,17 +173,22 @@ def canonical_normalizer(weight, delta):
     (Schur based), which is valid for any delta below the spectral-radius
     bound, not merely inside the power-series radius; it commutes with
     H_G and stays symmetric with respect to the symplectic form, so the
-    product is exactly canonical.
+    product is exactly canonical.  For a nilpotent H_G (``delta_max`` inf)
+    the entries of H_G^2 within its rounding error of 0 are taken as 0, so
+    H_G^2 = 0 gives the normalizer 1 at every delta.
     """
     _check_delta(delta)
     H = weight.hamilton_matrix
     n = H.shape[0]
-    if delta > 0 and delta >= delta_max(weight):
-        raise DeltaTooLargeError(
-            f"delta = {delta} >= delta_max = {delta_max(weight):.6g}"
-        )
+    bound = delta_max(weight)
+    if delta > 0 and delta >= bound:
+        raise DeltaTooLargeError(f"delta = {delta} >= delta_max = {bound:.6g}")
+    H2 = H @ H
+    if bound == np.inf:
+        scale = float(np.max(np.abs(H)))
+        H2[np.abs(H2) <= n * _EPS * scale * scale] = 0.0
     try:
-        T_op = np.eye(n) + float(delta) ** 2 * (H @ H)
+        T_op = np.eye(n) + float(delta) ** 2 * H2
     except OverflowError:
         raise NumericalFailureError(f"delta**2 overflows at delta = {delta}") from None
     root = np.asarray(sla.sqrtm(T_op))

@@ -19,28 +19,45 @@ for a generic symbol, 4 for ``wedge_model``, N + 1 for kfp, n for the
 harmonic oscillator).  sigma_min of a direct sum is the smallest of its
 summands' values, and the spectrum is the union of theirs.
 ``resolvent_norm`` computes 1/sigma_min(M - z) for a scalar or an array of
-shifts, with one finiteness check and one ||M||_F per call, over the parts
-``TruncatedWeylOperator._sigma_parts`` picks once per operator:
+shifts, with one finiteness check and one ||M||_F per call, as the smallest
+value over ``TruncatedWeylOperator._sigma_parts``: the dense blocks stacked
+by size, then the sparse ones.  ``_engine``, the one rule, picks per part
+and call from the block size m and the number of shifts k:
 
-- n <= ``DENSE_SVD_CUTOFF`` (140): the whole matrix, one dense SVD per shift.
-- larger n: the blocks.  Blocks of size <= ``DENSE_SVD_CUTOFF`` take dense
-  SVDs, one stacked call per block size and shift.  A larger block
-  B = M_b - z is factored with SuperLU, and ARPACK runs Lanczos on the real
-  symmetric 2m embedding of v -> B^{-1} B^{-H} v, whose largest eigenvalue
-  is 1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001), to
-  a residual tolerance of 1e-10; the Ritz value's error is quadratic in it.
-  The start vector is fixed, so the result is reproducible at a fixed BLAS
-  thread count.
+- "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): B - z is
+  factored with SuperLU, and ARPACK runs Lanczos on the real symmetric 2m
+  embedding of v -> (B - z)^{-1} (B - z)^{-H} v, whose largest eigenvalue is
+  1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001), to a
+  residual tolerance of 1e-10; the Ritz value's error is quadratic in it.
+- "schur", blocks of size m >= ``SCHUR_MIN_SIZE`` (40) when k m^2 >=
+  ``SCHUR_MIN_WORK`` (5e5): one complex Schur form B = Q T Q^H per block,
+  kept with the operator, so sigma_min(B - z) = sigma_min(T - z); then
+  Lanczos on (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular solves per
+  step, batched over the shifts (``_sigma_min_schur``; Lui, SIAM J. Sci.
+  Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
+- "dense", any other block: one SVD per shift, stacked over the blocks of
+  one size.
 
-Each shift takes the same arithmetic as a scalar call.  The cutoff sits a
-little above the measured crossover of the two engines' single-threaded
-run times on one block (about 115 for d = 1, 130 for d = 2).  Up to it the
-matrix is not split: that would move its results in the last digits, and
-the benchmark's pseudospectrum oracle allows an absolute slack (1e-12 in
-log10) below its own SVD rounding.  Either way, sigma_min below
-1e-14 ||M||_F (or an exactly singular LU factor) is reported as an infinite
-norm, the infinity signal.  Spectra (``spectrum_truncated``) use a dense
-eigensolver on each block.
+Both Lanczos engines start from a fixed vector, so results are reproducible
+at a fixed BLAS thread count.  In a "dense" or "sparse" part each shift
+takes the same arithmetic as a scalar call.  In a "schur" part it runs
+alongside the call's other shifts, so an array call matches scalar calls to
+rounding (a few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable
+sigma_min does), not bit for bit.  Either way, sigma_min below
+1e-14 ||M||_F (an exactly singular LU factor or a zero pivot of T - z
+included) is reported as an infinite norm, the infinity signal.  Spectra
+(``spectrum_truncated``) use a dense eigensolver on each block.
+
+The constants rest on single-threaded per-shift times on one block (a
+2-core Xeon VM, OpenBLAS).  Dense SVD and SuperLU + ARPACK cross at m of
+about 111 to 121 for d = 1 and 105 to 120 for d = 2; at the cutoff of 110,
+davies at h = 0.1, N = 260 (blocks 131 and 130) takes 4.2-4.3 ms per shift,
+against 7.8-8.2 ms on dense SVDs under the former cutoff of 140.  The Schur
+engine overtakes per-shift SVDs on davies blocks (h = 0.05, shifts over the
+window 0..3 x -0.5..2) at about 190 shifts for m = 51 (0.16 against 0.23 ms
+per shift at 480), under 96 for m >= 61, and only near 1200 for m = 41; on
+wedge at about 120 shifts for m = 66: k m^2 = 5e5 marks these.  Below
+m = 40 it does not pay at 1200 shifts (m = 31: 0.21 against 0.16 ms).
 """
 
 import math
@@ -67,10 +84,14 @@ __all__ = [
     "probe_theorem",
 ]
 
-DENSE_SVD_CUTOFF = 140
+DENSE_SVD_CUTOFF = 110  # largest block kept dense
+SCHUR_MIN_SIZE = 40  # smallest block the Schur engine takes
+SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
-# ARPACK residual tolerance; a Hermitian Ritz value's error is quadratic in it
+# Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
+_LANCZOS_CHUNK = 48  # Schur engine: shifts in flight; the basis holds steps x 48 x m complex
+_LANCZOS_CHECK = 4  # Schur engine: steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
 PROBE_MAX_ROUNDS = 3  # probe_theorem: degree increases before giving up
@@ -124,17 +145,27 @@ class TruncatedWeylOperator:
         The blocks are the connected components of the stored pattern, so
         no stored entry joins two of them and together they hold all of M;
         ``quantize_quadratic`` stores no exact zeros, so the split needs no
-        tolerance.  Indices are increasing within a block.  A block of size
-        <= ``DENSE_SVD_CUTOFF`` is a dense array, a larger one CSC.  Built on
-        first use and kept.
+        tolerance.  Blocks are ordered by their smallest index, and indices
+        are increasing within a block.  A block of size <= ``DENSE_SVD_CUTOFF``
+        is a dense array, a larger one CSC.  Built on first use and kept.
         """
-        from scipy.sparse.csgraph import connected_components
-
         M = self.matrix
-        pattern = sp.csc_matrix(
-            (np.ones(M.nnz, dtype=np.int8), M.indices, M.indptr), shape=M.shape
-        )
-        _, labels = connected_components(pattern, directed=False)
+        n = M.shape[0]
+        rows, cols = M.indices, np.repeat(np.arange(n), np.diff(M.indptr))
+        # min-label propagation with pointer jumping: at the fixed point every
+        # index carries the smallest index of its component
+        root = np.arange(n)
+        while True:
+            low = np.minimum(root[rows], root[cols])
+            new = root.copy()
+            np.minimum.at(new, rows, low)
+            np.minimum.at(new, cols, low)
+            while not np.array_equal(new[new], new):
+                new = new[new]
+            if np.array_equal(new, root):
+                break
+            root = new
+        _, labels = np.unique(root, return_inverse=True)
         perm = np.argsort(labels, kind="stable")
         P = M[perm][:, perm]
         sizes = np.bincount(labels)
@@ -143,7 +174,7 @@ class TruncatedWeylOperator:
         per_col = np.diff(P.indptr)
         offset = np.repeat(np.repeat(ends - sizes, sizes), per_col)
         rows = P.indices - offset
-        cols = np.repeat(np.arange(M.shape[0]), per_col) - offset
+        cols = np.repeat(np.arange(n), per_col) - offset
         out = []
         for stop, size in zip(ends, sizes):
             sel = slice(P.indptr[stop - size], P.indptr[stop])
@@ -157,12 +188,9 @@ class TruncatedWeylOperator:
 
     @cached_property
     def _sigma_parts(self):
-        """The parts ``resolvent_norm`` takes sigma_min over, and so the one
-        place an engine is chosen.  Up to ``DENSE_SVD_CUTOFF`` basis size the
-        whole matrix as a (1, n, n) stack; beyond it, the dense ``blocks`` of
-        each size stacked into one (count, m, m) array, then the sparse ones."""
-        if self.matrix.shape[0] <= DENSE_SVD_CUTOFF:
-            return [self.matrix.toarray()[None]]
+        """The parts ``resolvent_norm`` takes sigma_min over: the dense
+        ``blocks`` of each size stacked into one (count, m, m) array, then the
+        sparse ones."""
         stacks, sparse = {}, []
         for _, b in self.blocks:
             if sp.issparse(b):
@@ -170,6 +198,21 @@ class TruncatedWeylOperator:
             else:
                 stacks.setdefault(len(b), []).append(b)
         return [np.stack(g) for g in stacks.values()] + sparse
+
+    @cached_property
+    def _schur_forms(self):
+        """The filled entries of ``_schur``, by stack."""
+        return {}
+
+    def _schur(self, i):
+        """Complex Schur factors T of the blocks of dense stack i of
+        ``_sigma_parts``, so that sigma_min(B - z) = sigma_min(T - z);
+        computed on first use and kept."""
+        import scipy.linalg as sla
+
+        if i not in self._schur_forms:
+            self._schur_forms[i] = [sla.schur(b, output="complex")[0] for b in self._sigma_parts[i]]
+        return self._schur_forms[i]
 
 
 def quantize_quadratic(q, trunc):
@@ -269,9 +312,106 @@ def _sigma_min_sparse(B):
     return 1.0 / math.sqrt(lam)
 
 
+def _sigma_min_schur(T, zs):
+    """sigma_min(T - z) of an upper triangular T for a 1-D array of shifts.
+
+    Lanczos on (T - z)^{-1} (T - z)^{-H}, whose largest eigenvalue is
+    1/sigma_min^2, in ``_LANCZOS_CHUNK`` slots that each hold one shift.  A
+    step is two triangular solves, each a loop over the rows of T vectorised
+    across the slots, then full reorthogonalisation (twice) against the
+    slot's basis.  Every shift starts from one seeded vector.  Every
+    ``_LANCZOS_CHECK`` steps (and when a Krylov space is exhausted or w
+    vanishes) the tridiagonal matrices are solved: a shift whose largest
+    Ritz value has a residual below ``_LANCZOS_TOL`` times itself is
+    finished, and its slot restarts on the next shift, or, once none is
+    left, reruns its last one unread until every slot is done.  A shift on
+    a diagonal entry of T (an exact zero pivot), or whose solves overflow,
+    gives 0.
+    """
+    m = len(T)
+    lower = [T[:i, i].conj() for i in range(m)]  # row i of T^H left of the diagonal
+    upper = [T[i, i + 1:] for i in range(m)]
+    diag = np.diag(T)[:, None]
+    q0 = np.random.default_rng(0).standard_normal(m)
+    q0 /= np.linalg.norm(q0)
+    out = np.zeros(len(zs))
+    todo = np.flatnonzero((diag != zs).all(0))
+    owner, todo = todo[:_LANCZOS_CHUNK], todo[_LANCZOS_CHUNK:]
+    S = len(owner)
+    slots, live = np.arange(S), np.ones(S, dtype=bool)
+    d = diag - zs[owner]
+    q = np.repeat(q0[:, None], S, 1).astype(complex)
+    # each slot's conjugated basis, one row per step (Vh[s, n[s]] is
+    # q[:, s].conj()); np.zeros maps it lazily, so only rows written take memory
+    Vh = np.zeros((S, m, m), dtype=complex)
+    Vh[:, 0] = q0
+    ab = np.zeros((S, m, 2))  # alpha, beta per step
+    n = np.zeros(S, dtype=int)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.any():
+            dh = d.conj()
+            y = np.empty_like(q)
+            for i in range(m):
+                y[i] = (q[i] - lower[i] @ y[:i]) / dh[i]
+            w = np.empty_like(q)
+            for i in range(m - 1, -1, -1):
+                w[i] = (y[i] - upper[i] @ w[i + 1:]) / d[i]
+            ab[slots, n, 0] = np.einsum("ms,ms->s", q.conj(), w).real
+            J = n.max() + 1
+            basis = Vh[:, :J]
+            stale = np.arange(J) > n[:, None]  # rows left from a slot's earlier shift
+            for _ in range(2):
+                c = (basis @ w.T[:, :, None]).conj()
+                c[stale] = 0
+                w -= (basis.transpose(0, 2, 1) @ c)[:, :, 0].T.conj()
+            b = ab[slots, n, 1] = np.linalg.norm(w, axis=0)
+            n += 1
+            step += 1
+            ok = np.isfinite(b)
+            done = np.zeros(S, dtype=bool)
+            if step % _LANCZOS_CHECK == 0 or (n == m).any() or not (ok & (b > 0))[live].all():
+                done = ~ok
+                for j in np.unique(n[ok]):  # the tridiagonal matrices of size j
+                    g = np.flatnonzero(ok & (n == j))
+                    k = np.arange(j)
+                    tri = np.zeros((len(g), j, j))
+                    tri[:, k, k] = ab[g, :j, 0]
+                    tri[:, k[1:], k[:-1]] = tri[:, k[:-1], k[1:]] = ab[g, :j - 1, 1]
+                    ev, vec = np.linalg.eigh(tri)
+                    top = ev[:, -1]
+                    done[g] = (b[g] * np.abs(vec[:, -1, -1]) <= _LANCZOS_TOL * top) | (j == m)
+                    fin = g[done[g] & live[g]]
+                    out[owner[fin]] = 1.0 / np.sqrt(top[done[g] & live[g]])
+            go = ~done
+            q[:, go] = w[:, go] / b[go]
+            Vh[slots[go], n[go]] = q[:, go].T.conj()
+            if done.any():  # restart the finished slots on the next shifts
+                restart = np.flatnonzero(done)
+                fresh = restart[:len(todo)]
+                owner[fresh], todo = todo[:len(fresh)], todo[len(fresh):]
+                d[:, fresh] = diag - zs[owner[fresh]]
+                live[restart[len(fresh):]] = False
+                q[:, restart] = q0[:, None]
+                Vh[restart, 0] = q0
+                n[restart] = 0
+    return out
+
+
+def _engine(part, shifts):
+    """The sigma_min engine of one of ``_sigma_parts`` in a call with
+    ``shifts`` shifts, the one rule (module docstring): "sparse" for a CSC
+    block, "schur" for a stack of m x m blocks with m >= ``SCHUR_MIN_SIZE``
+    and shifts * m^2 >= ``SCHUR_MIN_WORK``, else "dense"."""
+    if sp.issparse(part):
+        return "sparse"
+    m = part.shape[-1]
+    return "schur" if m >= SCHUR_MIN_SIZE and shifts * m * m >= SCHUR_MIN_WORK else "dense"
+
+
 def _sigma_min(B, z):
-    """sigma_min(B - z) of a sparse matrix, or the smallest over a
-    (count, m, m) stack of dense ones, by one SVD call."""
+    """sigma_min(B - z) of a sparse matrix (SuperLU + ARPACK), or the
+    smallest over a (count, m, m) stack of dense ones, by one SVD call."""
     m = B.shape[-1]
     if isinstance(B, np.ndarray):
         return float(np.linalg.svd(B - z * np.eye(m), compute_uv=False)[..., -1].min())
@@ -283,17 +423,24 @@ def resolvent_norm(op, z):
 
     ``z`` is a complex scalar or array: a 0-d input gives a float, an array
     an array of its shape.  Each shift takes the smallest sigma_min over
-    ``op._sigma_parts``.  Returns ``inf`` (the infinity signal) where
+    ``op._sigma_parts``, each part by the engine ``_engine`` picks for it
+    and the number of shifts.  Returns ``inf`` (the infinity signal) where
     sigma_min falls below 1e-14 * ||M||_F, i.e. where z is numerically an
     eigenvalue.  A non-finite z raises DomainError.
     """
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise DomainError(f"z must be finite, got {z[~np.isfinite(z)].flat[0]}")
-    parts = op._sigma_parts
+    zs = z.ravel()
     floor = INFINITY_SIGMA_RTOL * max(float(np.linalg.norm(op.matrix.data)), 1e-300)
-    smin = [min(_sigma_min(b, zi) for b in parts) for zi in z.ravel().tolist()]
-    out = np.array([math.inf if s < floor else 1.0 / s for s in smin]).reshape(z.shape)
+    smin = np.full(zs.shape, np.inf)
+    for i, part in enumerate(op._sigma_parts):
+        if _engine(part, zs.size) == "schur":
+            s = np.min([_sigma_min_schur(T, zs) for T in op._schur(i)], axis=0)
+        else:
+            s = [_sigma_min(part, zi) for zi in zs.tolist()]
+        smin = np.minimum(smin, s)
+    out = np.array([math.inf if s < floor else 1.0 / s for s in smin.tolist()]).reshape(z.shape)
     return float(out) if out.ndim == 0 else out
 
 

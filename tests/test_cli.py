@@ -176,15 +176,16 @@ def test_cli_overflowing_averaging_defect_exit_code(tmp_path, capsys, T):
 
 
 def test_cli_overflowing_delta_squared_exit_code(tmp_path, capsys):
-    # 1e-240 (x + xi)^2: delta_max is about 6e255, so delta_max / 2 squares past
-    # the float range
+    # 1e-240 (x + xi)^2: H_G is nilpotent, so delta_max is inf, and 1e200
+    # squares past the float range
     sym_file = tmp_path / "tiny.json"
     sym_file.write_text(json.dumps({"dim": 1, "terms": [
         {"alpha": [2], "beta": [0], "re": 1e-240},
         {"alpha": [1], "beta": [1], "re": 2e-240},
         {"alpha": [0], "beta": [2], "re": 1e-240},
     ]}))
-    delta = dc.delta_max(dc.weight_gq(parse_symbol_spec(str(sym_file)))) / 2
+    assert dc.delta_max(dc.weight_gq(parse_symbol_spec(str(sym_file)))) == math.inf
+    delta = 1e200
     argv = ["deform", "--symbol", str(sym_file), "--delta", repr(delta)]
     _assert_typed_exit_3(argv, capsys, f"delta = {delta!r}")
 

@@ -508,3 +508,23 @@ def test_schedules_values():
 def test_schedules_domain_signal():
     with pytest.raises(DomainError):
         dc.schedules(h=0.9, C=1.0, C0=1.0, M=1.0, dim=1)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sample_admissible_matches_one_draw_at_a_time(kfp, seed):
+    # the batched rounds take the same draws as a one-at-a-time sampler:
+    # the same points, bit for bit, and the generator left in the same state
+    spec = dc.stable_eigenvalues(dc.hamilton_map(kfp))
+    region = dc.RegionSpec(h=0.1, C0=0.15, C1=10.0, dim=2, inner_radius=0.3)
+    ref_rng = np.random.default_rng(seed)
+    want = []
+    while len(want) < 12:
+        u, t = ref_rng.random(), ref_rng.random()
+        theta = t * 2.0 * math.pi
+        r = math.sqrt(0.3**2 + u * (region.outer_radius**2 - 0.3**2))
+        z = r * complex(math.cos(theta), math.sin(theta))
+        if dc.admissible(region, spec, z).admissible:
+            want.append(z)
+    rng = np.random.default_rng(seed)
+    assert lattice.sample_admissible(region, spec, 12, rng) == want
+    assert rng.random() == ref_rng.random()

@@ -1,3 +1,4 @@
+import math
 import re
 
 import hypothesis.strategies as st
@@ -196,9 +197,8 @@ def test_canonical_normalizer_keeps_hamilton_spectrum_property(seed, d, corank, 
     # Gaussian forms with Re A >= 0 of corank 0 or 1, at delta up to
     # 0.9 delta_max; q o kappa has Hamilton map kappa^-1 F kappa, so the
     # spectra agree up to rounding amplified by cond(kappa).  The forms are
-    # drawn by seed, so they are generic: drawn entry by entry they reach a
-    # nilpotent H_G, whose rounding-level delta_max makes
-    # canonical_normalizer raise, an open defect.
+    # drawn by seed, so they are generic; a nilpotent H_G, which forms drawn
+    # entry by entry reach, has its own test below.
     rng = np.random.default_rng(seed)
     n = 2 * d
     q = dc.QuadraticForm(
@@ -212,6 +212,21 @@ def test_canonical_normalizer_keeps_hamilton_spectrum_property(seed, d, corank, 
     assert defect <= 1e-12 * np.linalg.norm(F) * np.linalg.cond(kappa.matrix)
 
 
+def test_nilpotent_weight_has_no_delta_bound():
+    # Re A = 0.25 [[1, 1], [1, 1]], Im A = 0.3125 [[1, 1], [1, 1]]: H_G is
+    # nilpotent, and its computed eigenvalues are +-3.1e-9 i; read as the
+    # spectrum they gave delta_max = 3.2e8, and canonical_normalizer failed
+    # (LinAlgError) at 0.75 of that
+    q = dc.QuadraticForm(1, (0.25 + 0.3125j) * np.ones((2, 2)))
+    w = dc.weight_gq(q, T=1.0)
+    assert 0 < np.max(np.abs(np.linalg.eigvals(w.hamilton_matrix))) < 1e-8
+    assert dc.delta_max(w) == math.inf
+    for delta in (0.75 * 3.2e8, 1e12):
+        kappa = dc.canonical_normalizer(w, delta)
+        assert np.array_equal(kappa.normalizer, np.eye(2))
+        assert kappa.symplectic_defect <= 1e-10 * np.linalg.norm(kappa.matrix) ** 2
+
+
 def test_delta_too_large_signal(kfp):
     w = dc.weight_gq(kfp, T=1.0)
     with pytest.raises(DeltaTooLargeError):
@@ -219,11 +234,13 @@ def test_delta_too_large_signal(kfp):
 
 
 def test_canonical_normalizer_overflowing_delta_squared_is_numerical_failure():
-    # 1e-240 (x + xi)^2: delta_max is about 6e255, and delta**2 overflows a float
+    # 1e-240 (x + xi)^2: H_G is nilpotent, so delta_max is inf, and delta**2
+    # overflows a float
     q = dc.build_quadratic_form(1, {((2,), (0,)): 1e-240, ((1,), (1,)): 2e-240,
                                     ((0,), (2,)): 1e-240})
     w = dc.weight_gq(q)
-    delta = dc.delta_max(w) / 2
+    assert dc.delta_max(w) == math.inf
+    delta = 1e200
     with pytest.raises(NumericalFailureError, match=re.escape(f"delta = {delta!r}")):
         dc.canonical_normalizer(w, delta)
 

@@ -234,23 +234,22 @@ def test_davies_ray_growth_until_saturation(davies):
     assert norms[120] * dc.dist_to_spectrum(spec, 1.0, z) > 10
 
 
-def _largest_block_engine(op):
-    """Which sigma_min engine resolvent_norm runs on the operator's largest block."""
-    from dcspec.weyl import DENSE_SVD_CUTOFF
+def _largest_block_engine(op, shifts=1):
+    """Which sigma_min engine resolvent_norm runs on the operator's largest
+    block in a call with ``shifts`` shifts."""
+    from dcspec.weyl import DENSE_SVD_CUTOFF, _engine
 
-    if op.trunc.size <= DENSE_SVD_CUTOFF:
-        return "whole"  # one dense SVD of the unsplit matrix
     size, block = max(((len(idx), b) for idx, b in op.blocks), key=lambda t: t[0])
     assert sp.issparse(block) == (size > DENSE_SVD_CUTOFF)
-    return "sparse" if sp.issparse(block) else "dense"
+    return _engine(block if sp.issparse(block) else block[None], shifts)
 
 
 @pytest.mark.parametrize(
     "q, N, h, engine",
     [
-        (davies_form(1.0), 120, 1.0, "whole"),
+        (davies_form(1.0), 120, 1.0, "dense"),  # parity blocks 61 and 60
         (davies_form(1.0), 300, 1.0, "sparse"),  # parity blocks 151 and 150
-        (kfp_form(1.0), 12, 0.1, "whole"),
+        (kfp_form(1.0), 12, 0.1, "dense"),  # degree shells of sizes 1 to 13
         (kfp_form(1.0), 36, 0.1, "dense"),  # degree shells of sizes 1 to 37
         (parse_symbol_spec("wedge_model.json"), 20, 0.1, "dense"),  # 66, 55, 55, 55
     ],
@@ -273,9 +272,8 @@ def test_resolvent_norm_matches_dense_svd(q, N, h, engine):
         assert dc.resolvent_norm(op, z) == pytest.approx(want, rel=1e-10)
 
 
-# one operator per sigma_min engine: the whole matrix, dense blocks, sparse blocks
+# one operator per engine a few shifts reach: dense blocks, sparse blocks
 _ENGINE_OPS = {
-    "whole": (davies_form(1.0), 40, 1.0),  # n = 41
     "dense": (parse_symbol_spec("wedge_model.json"), 20, 0.1),  # blocks 66, 55, 55, 55
     "sparse": (davies_form(1.0), 300, 1.0),  # blocks 151, 150
 }
@@ -312,6 +310,139 @@ def test_resolvent_norm_array_equals_scalar_calls(engine, data):
     want = [dc.resolvent_norm(op, z) for z in zs.ravel().tolist()]
     assert np.ravel(got).tolist() == want
     assert np.isinf(np.ravel(got)[np.isin(zs.ravel(), eigs)]).all()
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _block_svd_norms(op, zs):
+    """Per shift: 1/sigma_min over per-block dense SVDs, and the condition
+    number ||B - z|| ||(B - z)^{-1}|| of the block that attains it."""
+    norms, conds = [], []
+    for z in zs:
+        s = [np.linalg.svd((b.toarray() if sp.issparse(b) else b) - z * np.eye(len(idx)),
+                           compute_uv=False) for idx, b in op.blocks]
+        top, low = min(((v[0], v[-1]) for v in s), key=lambda t: t[1])
+        norms.append(1.0 / low)
+        conds.append(top / low)
+    return np.array(norms), np.array(conds)
+
+
+def _window(op, count):
+    """A grid of ``count`` shifts spanning the lowest eigenvalues."""
+    r = 1.5 * max(abs(dc.spectrum_truncated(op, 4)))
+    re, im = np.meshgrid(np.linspace(-r, r, count // 10), np.linspace(-r, r, 10))
+    return (re + 1j * im).ravel()
+
+
+@pytest.mark.parametrize(
+    "q, N, h",
+    [
+        (davies_form(1.0), 100, 0.05),  # parity blocks 51 and 50
+        (parse_symbol_spec("wedge_model.json"), 20, 0.1),  # blocks 66, 55, 55, 55
+        ("random-d2", 12, 0.3),  # parity blocks 49 and 42
+    ],
+    ids=["davies", "wedge", "random-d2"],
+)
+def test_schur_engine_matches_block_svds(q, N, h):
+    # sigma_min from the Schur engine against dense SVDs of the blocks,
+    # within m u ||B - z|| ||(B - z)^{-1}||: both are backward stable, so
+    # neither resolves a norm more finely than that
+    from conftest import random_complex_form
+
+    if q == "random-d2":
+        q = random_complex_form(np.random.default_rng(12), 2)
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+    if q.dim == 1:
+        re, im = np.meshgrid(np.linspace(0, 3, 20), np.linspace(-0.5, 2, 15))
+        zs = (re + 1j * im).ravel()
+    else:
+        zs = _window(op, 300)
+    assert _largest_block_engine(op, len(zs)) == "schur"
+    got = dc.resolvent_norm(op, zs)
+    want, cond = _block_svd_norms(op, zs)
+    m = max(len(idx) for idx, _ in op.blocks)
+    assert np.all(np.abs(got - want) <= m * _U * cond * want)
+
+
+def test_schur_engine_worst_pseudospectrum_point_against_mpmath():
+    # The benchmark's davies grid (h = 0.05, N = 100, 40 x 30 over
+    # [0, 3] x [-0.5, 2]) moves most from whole-matrix SVDs at z = 3 + 1.22i,
+    # norm 2.2e5.  A 30-digit SVD of the block that attains it puts the Schur
+    # engine and a dense SVD both within m u ||B - z|| ||(B - z)^{-1}||.
+    import mpmath as mp
+
+    q = davies_form(1.0)
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, 100, 0.05))
+    assert _largest_block_engine(op, 1200) == "schur"
+    _, im_axis, L = dc.pseudospectrum_grid(op, (0.0, 3.0, -0.5, 2.0), (40, 30))
+    z = complex(3.0, im_axis[20])
+    got = 10.0 ** L[20, 39]
+    dense, cond = _block_svd_norms(op, [z])
+    low = [np.linalg.svd(b - z * np.eye(len(b)), compute_uv=False)[-1] for _, b in op.blocks]
+    B = mp_galerkin_blocks(q, 100, 0.05)[int(np.argmin(low))]  # even, then odd, as op.blocks
+    with mp.workdps(30):
+        shifted = B - mp.mpc(z.real, z.imag) * mp.eye(B.rows)
+        want = 1.0 / float(min(mp.svd_c(shifted, compute_uv=False)))
+    assert want == pytest.approx(2.167e5, rel=1e-3)
+    bound = len(B) * _U * cond[0] * want
+    assert abs(got - want) <= bound and abs(dense[0] - want) <= bound
+
+
+def test_resolvent_norm_array_at_schur_threshold_matches_scalar_calls():
+    # 200 shifts reach the Schur engine on davies N = 100 (200 * 50^2 = 5e5);
+    # scalar calls take per-block SVDs.  They agree to rounding, and both
+    # give the infinity signal on the eigenvalues.
+    from dcspec.weyl import SCHUR_MIN_WORK, _engine
+
+    op = dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, 100, 0.05))
+    eigs = dc.spectrum_truncated(op, 3)
+    rng = np.random.default_rng(4)
+    zs = np.concatenate((eigs, rng.uniform(0, 3, 197) + 1j * rng.uniform(-0.5, 2, 197)))
+    assert len(zs) * 50**2 >= SCHUR_MIN_WORK > (len(zs) - 1) * 50**2
+    assert all(_engine(part, len(zs)) == "schur" for part in op._sigma_parts)
+    got = dc.resolvent_norm(op, zs)
+    want = np.array([dc.resolvent_norm(op, z) for z in zs.tolist()])
+    assert np.isinf(got[:3]).all() and np.isinf(want[:3]).all()
+    _, cond = _block_svd_norms(op, zs[3:])
+    assert np.all(np.abs(got[3:] - want[3:]) <= 51 * _U * cond * want[3:])
+
+
+def test_engine_rule():
+    # probe-theorem calls (10 or 20 shifts, kfp shells of size <= 37) stay on
+    # per-shift SVDs; the benchmark's pseudospectrum (1200 shifts, blocks 45
+    # to 51) takes the Schur engine; blocks above the cutoff stay sparse
+    from dcspec.weyl import DENSE_SVD_CUTOFF, SCHUR_MIN_SIZE, _engine
+
+    def stack(m):
+        return np.zeros((1, m, m))
+
+    assert _engine(stack(37), 20) == _engine(stack(SCHUR_MIN_SIZE - 1), 10**6) == "dense"
+    assert _engine(stack(45), 1200) == _engine(stack(DENSE_SVD_CUTOFF), 42) == "schur"
+    assert _engine(stack(51), 192) == "dense" and _engine(stack(51), 193) == "schur"
+    assert _engine(sp.identity(DENSE_SVD_CUTOFF + 1, format="csc"), 10**6) == "sparse"
+
+
+def test_sigma_min_schur_small_and_degenerate_inputs():
+    # the engine alone: a diagonal T (sigma_min = min |t_ii - z|, the Krylov
+    # space exhausted after m = 3 steps), an exact zero pivot and a pivot whose
+    # solves overflow (both 0), more shifts than slots, and no warning
+    import warnings
+
+    from dcspec.weyl import _LANCZOS_CHUNK, _sigma_min_schur
+
+    T = np.diag([1.0, 2.0, 3.0 + 1.0j]).astype(complex)
+    rng = np.random.default_rng(2)
+    zs = rng.uniform(0, 4, 3 * _LANCZOS_CHUNK) + 1j * rng.uniform(-1, 2, 3 * _LANCZOS_CHUNK)
+    zs[[5, 70]] = 2.0, 3.0 + 1.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigma_min_schur(T, zs)
+        tiny = _sigma_min_schur(np.diag([1e-300, 2.0]).astype(complex), np.array([0.0, 0.5j]))
+    want = np.min(np.abs(np.diag(T)[:, None] - zs), axis=0)
+    assert got[5] == got[70] == 0.0
+    assert got == pytest.approx(want, rel=1e-12)
+    assert tiny[0] == 0.0 and tiny[1] == pytest.approx(abs(1e-300 - 0.5j), rel=1e-12)
 
 
 def test_sample_admissible_counts_its_last_draw(kfp, monkeypatch):
@@ -390,6 +521,27 @@ def test_galerkin_matrix_is_parity_block_diagonal(source):
             parts = sorted(tuple(idx) for idx, _ in op.blocks)
             parity = [tuple(np.flatnonzero(degree % 2 == p)) for p in (0, 1)]
             assert parts == sorted(parity)
+
+
+@pytest.mark.parametrize("source", _BUNDLED + ["random-d2"])
+def test_blocks_are_the_connected_components(source):
+    # the label propagation against scipy's graph search: the same
+    # components, numbered by their smallest index
+    from conftest import random_complex_form
+    from scipy.sparse.csgraph import connected_components
+
+    if source == "random-d2":
+        q = random_complex_form(np.random.default_rng(7), 2)
+    else:
+        q = parse_symbol_spec(source)
+    for N in (0, 1, 9, 16):
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, 0.3))
+        M = op.matrix
+        pattern = sp.csc_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+        _, labels = connected_components(pattern, directed=False)
+        assert [idx.tolist() for idx, _ in op.blocks] == [
+            np.flatnonzero(labels == b).tolist() for b in range(labels.max() + 1)
+        ]
 
 
 @pytest.mark.parametrize("source", _BUNDLED)
@@ -543,7 +695,7 @@ def test_non_finite_h_and_z_rejected(harmonic, davies):
     for h in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(DomainError):
             dc.HermiteTruncation(1, 5, h)
-    for q, N, engine in [(harmonic, 20, "whole"), (harmonic, 200, "dense"), (davies, 300, "sparse")]:
+    for q, N, engine in [(harmonic, 20, "dense"), (harmonic, 200, "dense"), (davies, 300, "sparse")]:
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, N, 0.1))
         assert _largest_block_engine(op) == engine
         for z in (complex(math.nan, 0), complex(0.2, math.inf), math.nan):
