@@ -8,7 +8,7 @@ canonical.  The weight Phi(x) is the critical value of -Im phi(x, .)
 over real y and is strictly plurisubharmonic.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,18 +40,15 @@ class FbiPhase:
 
     The phases are homogeneous quadratic, so the three blocks determine
     everything.  Validity requires Im yy positive definite and xy
-    invertible; both are checked at construction, xy unless the caller has
-    already tested it (``phase_of_kappa`` tests B, and xy = -B^-T has the
-    same condition ratio).
+    invertible; both are checked at construction.
     """
 
     dim: int
     xx: np.ndarray = field(repr=False)
     xy: np.ndarray = field(repr=False)
     yy: np.ndarray = field(repr=False)
-    _xy_tested: InitVar[bool] = False
 
-    def __post_init__(self, _xy_tested):
+    def __post_init__(self):
         d = self.dim
         for name in ("xx", "xy", "yy"):
             M = np.asarray(getattr(self, name), dtype=complex)
@@ -62,14 +59,9 @@ class FbiPhase:
         object.__setattr__(self, "yy", sym(self.yy))
         if np.linalg.eigvalsh(self.yy.imag).min() <= 0:
             raise InvalidPhaseError("Im yy must be positive definite")
-        if not _xy_tested and _numerically_singular(self.xy):
+        s = np.linalg.svd(self.xy, compute_uv=False)
+        if s[-1] <= SINGULAR_TOL * max(s[0], 1e-300):
             raise InvalidPhaseError("xy block is numerically singular")
-
-
-def _numerically_singular(M):
-    """The invertibility test of B and xy: s_min(M) <= SINGULAR_TOL s_max(M)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] <= SINGULAR_TOL * max(s[0], 1e-300)
 
 
 def standard_phase(dim):
@@ -202,7 +194,8 @@ def kappa_of_phase(phase):
 
 def _canonicity_parts(bmap):
     """The block defects, with B^-1, D B^-1 and B^-1 A from one inversion."""
-    if _numerically_singular(bmap.B):
+    s = np.linalg.svd(bmap.B, compute_uv=False)
+    if s[-1] <= SINGULAR_TOL * max(s[0], 1e-300):
         raise SingularBlockError("block B is numerically singular; no generating phase")
     Binv = np.linalg.inv(bmap.B)
     DB = bmap.D @ Binv
@@ -238,6 +231,6 @@ def phase_of_kappa(bmap, tol=CONDITION_TOL):
             f"block conditions violated: defects {defects} exceed {tol:g} * {scale:g}"
         )
     try:
-        return FbiPhase(bmap.dim, DB, -Binv.T, BA, _xy_tested=True)
+        return FbiPhase(bmap.dim, DB, -Binv.T, BA)
     except InvalidPhaseError as exc:
         raise NotFbiPhaseError(f"map is canonical but its phase is not admissible: {exc}") from exc

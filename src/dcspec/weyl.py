@@ -54,10 +54,12 @@ about 111 to 121 for d = 1 and 105 to 120 for d = 2; at the cutoff of 110,
 davies at h = 0.1, N = 260 (blocks 131 and 130) takes 4.2-4.3 ms per shift,
 against 7.8-8.2 ms on dense SVDs under the former cutoff of 140.  The Schur
 engine overtakes per-shift SVDs on davies blocks (h = 0.05, shifts over the
-window 0..3 x -0.5..2) at about 190 shifts for m = 51 (0.16 against 0.23 ms
-per shift at 480), under 96 for m >= 61, and only near 1200 for m = 41; on
-wedge at about 120 shifts for m = 66: k m^2 = 5e5 marks these.  Below
-m = 40 it does not pay at 1200 shifts (m = 31: 0.21 against 0.16 ms).
+window 0..3 x -0.5..2) between 144 and 192 shifts for m = 51 (0.16 against
+0.22 ms per shift at 480), by 96 for m = 61 and by 480 for m = 41 (0.22
+against 0.25 ms); on wedge (h = 0.1, m = 66) by 64 shifts.  k m^2 = 5e5
+(192 shifts at m = 51, 298 at m = 41, 115 at m = 66) sits at or above
+these.  Below m = 40 it does not pay at 1200 shifts (m = 31: 0.13 against
+0.11 ms).
 """
 
 import math
@@ -90,7 +92,7 @@ SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-_LANCZOS_CHUNK = 48  # Schur engine: shifts in flight; the basis holds steps x 48 x m complex
+_LANCZOS_CHUNK = 64  # Schur engine: shifts per chunk; the basis holds steps x 64 x m complex
 _LANCZOS_CHECK = 4  # Schur engine: steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
@@ -316,16 +318,14 @@ def _sigma_min_schur(T, zs):
     """sigma_min(T - z) of an upper triangular T for a 1-D array of shifts.
 
     Lanczos on (T - z)^{-1} (T - z)^{-H}, whose largest eigenvalue is
-    1/sigma_min^2, in ``_LANCZOS_CHUNK`` slots that each hold one shift.  A
-    step is two triangular solves, each a loop over the rows of T vectorised
-    across the slots, then full reorthogonalisation (twice) against the
-    slot's basis.  Every shift starts from one seeded vector.  Every
-    ``_LANCZOS_CHECK`` steps (and when a Krylov space is exhausted or w
-    vanishes) the tridiagonal matrices are solved: a shift whose largest
-    Ritz value has a residual below ``_LANCZOS_TOL`` times itself is
-    finished, and its slot restarts on the next shift, or, once none is
-    left, reruns its last one unread until every slot is done.  A shift on
-    a diagonal entry of T (an exact zero pivot), or whose solves overflow,
+    1/sigma_min^2, over ``_LANCZOS_CHUNK`` shifts at a time, each from one
+    seeded vector.  A step is two triangular solves, each a loop over the
+    rows of T vectorised across the shifts, then full reorthogonalisation
+    (twice) against each shift's basis.  Every ``_LANCZOS_CHECK`` steps (and
+    when w vanishes or overflows) the tridiagonal matrices are solved, and a
+    shift whose largest Ritz value has a residual below ``_LANCZOS_TOL``
+    times itself is finished and dropped from the chunk.  A shift on a
+    diagonal entry of T (an exact zero pivot), or whose solves overflow,
     gives 0.
     """
     m = len(T)
@@ -336,65 +336,48 @@ def _sigma_min_schur(T, zs):
     q0 /= np.linalg.norm(q0)
     out = np.zeros(len(zs))
     todo = np.flatnonzero((diag != zs).all(0))
-    owner, todo = todo[:_LANCZOS_CHUNK], todo[_LANCZOS_CHUNK:]
-    S = len(owner)
-    slots, live = np.arange(S), np.ones(S, dtype=bool)
-    d = diag - zs[owner]
-    q = np.repeat(q0[:, None], S, 1).astype(complex)
-    # each slot's conjugated basis, one row per step (Vh[s, n[s]] is
-    # q[:, s].conj()); np.zeros maps it lazily, so only rows written take memory
-    Vh = np.zeros((S, m, m), dtype=complex)
-    Vh[:, 0] = q0
-    ab = np.zeros((S, m, 2))  # alpha, beta per step
-    n = np.zeros(S, dtype=int)
-    step = 0
+    # the conjugated basis of each shift of the chunk in its first rows, one
+    # row per step; np.zeros maps it lazily, so only rows written take memory
+    Vh = np.zeros((min(_LANCZOS_CHUNK, len(todo)), m, m), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        while live.any():
-            dh = d.conj()
-            y = np.empty_like(q)
-            for i in range(m):
-                y[i] = (q[i] - lower[i] @ y[:i]) / dh[i]
-            w = np.empty_like(q)
-            for i in range(m - 1, -1, -1):
-                w[i] = (y[i] - upper[i] @ w[i + 1:]) / d[i]
-            ab[slots, n, 0] = np.einsum("ms,ms->s", q.conj(), w).real
-            J = n.max() + 1
-            basis = Vh[:, :J]
-            stale = np.arange(J) > n[:, None]  # rows left from a slot's earlier shift
-            for _ in range(2):
-                c = (basis @ w.T[:, :, None]).conj()
-                c[stale] = 0
-                w -= (basis.transpose(0, 2, 1) @ c)[:, :, 0].T.conj()
-            b = ab[slots, n, 1] = np.linalg.norm(w, axis=0)
-            n += 1
-            step += 1
-            ok = np.isfinite(b)
-            done = np.zeros(S, dtype=bool)
-            if step % _LANCZOS_CHECK == 0 or (n == m).any() or not (ok & (b > 0))[live].all():
-                done = ~ok
-                for j in np.unique(n[ok]):  # the tridiagonal matrices of size j
-                    g = np.flatnonzero(ok & (n == j))
-                    k = np.arange(j)
-                    tri = np.zeros((len(g), j, j))
-                    tri[:, k, k] = ab[g, :j, 0]
-                    tri[:, k[1:], k[:-1]] = tri[:, k[:-1], k[1:]] = ab[g, :j - 1, 1]
+        for start in range(0, len(todo), _LANCZOS_CHUNK):
+            run = todo[start:start + _LANCZOS_CHUNK]  # the chunk's unfinished shifts
+            d = diag - zs[run]
+            q = np.repeat(q0[:, None], len(run), 1).astype(complex)
+            Vh[:, 0] = q0
+            ab = np.zeros((len(run), m, 2))  # alpha, beta per step
+            for n in range(1, m + 1):  # n steps taken at the end of the body
+                dh = d.conj()
+                y = np.empty_like(q)
+                for i in range(m):
+                    y[i] = (q[i] - lower[i] @ y[:i]) / dh[i]
+                w = np.empty_like(q)
+                for i in range(m - 1, -1, -1):
+                    w[i] = (y[i] - upper[i] @ w[i + 1:]) / d[i]
+                ab[:, n - 1, 0] = np.einsum("ms,ms->s", q.conj(), w).real
+                basis = Vh[:len(run), :n]
+                for _ in range(2):
+                    c = (basis @ w.T[:, :, None]).conj()
+                    w -= (basis.transpose(0, 2, 1) @ c)[:, :, 0].T.conj()
+                b = ab[:, n - 1, 1] = np.linalg.norm(w, axis=0)
+                ok = np.isfinite(b)
+                if not (n % _LANCZOS_CHECK and n < m and (ok & (b > 0)).all()):
+                    k = np.arange(n)
+                    tri = np.zeros((ok.sum(), n, n))
+                    tri[:, k, k] = ab[ok, :n, 0]
+                    tri[:, k[1:], k[:-1]] = tri[:, k[:-1], k[1:]] = ab[ok, :n - 1, 1]
                     ev, vec = np.linalg.eigh(tri)
                     top = ev[:, -1]
-                    done[g] = (b[g] * np.abs(vec[:, -1, -1]) <= _LANCZOS_TOL * top) | (j == m)
-                    fin = g[done[g] & live[g]]
-                    out[owner[fin]] = 1.0 / np.sqrt(top[done[g] & live[g]])
-            go = ~done
-            q[:, go] = w[:, go] / b[go]
-            Vh[slots[go], n[go]] = q[:, go].T.conj()
-            if done.any():  # restart the finished slots on the next shifts
-                restart = np.flatnonzero(done)
-                fresh = restart[:len(todo)]
-                owner[fresh], todo = todo[:len(fresh)], todo[len(fresh):]
-                d[:, fresh] = diag - zs[owner[fresh]]
-                live[restart[len(fresh):]] = False
-                q[:, restart] = q0[:, None]
-                Vh[restart, 0] = q0
-                n[restart] = 0
+                    conv = (b[ok] * np.abs(vec[:, -1, -1]) <= _LANCZOS_TOL * top) | (n == m)
+                    out[run[ok][conv]] = 1.0 / np.sqrt(top[conv])
+                    keep = ok.copy()
+                    keep[ok] = ~conv
+                    if not keep.any():
+                        break
+                    run, d, w, b, ab = run[keep], d[:, keep], w[:, keep], b[keep], ab[keep]
+                    Vh[:len(run), :n] = Vh[np.flatnonzero(keep), :n]
+                q = w / b
+                Vh[:len(run), n] = q.T.conj()
     return out
 
 

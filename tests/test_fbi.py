@@ -221,17 +221,3 @@ def test_kappa_phase_kappa_roundtrip_property(data):
     again = dc.kappa_of_phase(phase)
     assert np.allclose(again.matrix, M, rtol=0, atol=1e-9 * max(1, np.linalg.norm(M)))
 
-
-def test_phase_of_kappa_tests_invertibility_once(monkeypatch):
-    # B's condition ratio is tested once: the phase's xy = -B^-T shares it
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    bmap = dc.kappa_of_phase(dc.standard_phase(2))
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    dc.phase_of_kappa(bmap)
-    assert calls == [(2, 2)]

@@ -426,7 +426,7 @@ def test_engine_rule():
 def test_sigma_min_schur_small_and_degenerate_inputs():
     # the engine alone: a diagonal T (sigma_min = min |t_ii - z|, the Krylov
     # space exhausted after m = 3 steps), an exact zero pivot and a pivot whose
-    # solves overflow (both 0), more shifts than slots, and no warning
+    # solves overflow (both 0), more shifts than one chunk, and no warning
     import warnings
 
     from dcspec.weyl import _LANCZOS_CHUNK, _sigma_min_schur
