@@ -15,3 +15,20 @@ def frob(matrix):
 def symplectic_defect(matrix, J):
     """Frobenius norm of kappa^T J kappa - J (transpose, no conjugation)."""
     return frob(matrix.T @ J @ matrix - J)
+
+
+def components(n, a, b):
+    """For each node 0..n-1 of the graph with edges (a[i], b[i]), the
+    smallest node of its connected component: min-label propagation over
+    the edges, with pointer jumping."""
+    root = np.arange(n)
+    while True:
+        low = np.minimum(root[a], root[b])
+        new = root.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, root):
+            return root
+        root = new

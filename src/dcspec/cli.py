@@ -81,8 +81,19 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit_json(obj, stream=None):
-    (stream or sys.stdout).write(json.dumps(obj, sort_keys=True) + "\n")
+    """One line of strict JSON (RFC 8259 has no Infinity or NaN)."""
+    text = json.dumps(_json_safe(obj), sort_keys=True, allow_nan=False)
+    (stream or sys.stdout).write(text + "\n")
 
 
 def _error_line(exc):
@@ -452,21 +463,17 @@ def _cmd_resolvent(args):
     norm = resolvent_norm(op, z)
     op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
     norm2 = resolvent_norm(op2, z)
-    finite = math.isfinite(norm)
-    rel = (
-        abs(norm - norm2) / norm
-        if finite and math.isfinite(norm2) and norm > 0
-        else math.inf
-    )
+    finite = math.isfinite(norm)  # norm > 0, so rel needs only both norms finite
+    rel = abs(norm - norm2) / norm if finite and math.isfinite(norm2) else math.inf
     _emit_json(
         {
             "z": [zre, zim],
-            "norm": norm if finite else "inf",
-            "log10norm": math.log10(norm) if finite else "inf",
+            "norm": norm,
+            "log10norm": math.log10(norm),
             "finite": finite,
             "N": args.N,
             "N_coarse": coarse_n,
-            "rel_change": rel if math.isfinite(rel) else "inf",
+            "rel_change": rel,
             "note": QUADRATIC_PROBE_NOTE,
         }
     )

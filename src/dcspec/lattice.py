@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import components, frob
 from .errors import DegenerateSpectrumError, DomainError, NumericalFailureError
 
 __all__ = [
@@ -167,22 +167,6 @@ def _near_offsets(vals, modulus, rtol=0.0, atol=0.0):
         yield s, cand[_modulus(vals[cand + s] - vals[cand]) <= tol[cand]]
 
 
-def _cluster_heads(vals, modulus, rtol):
-    """For every value, the smallest index of its single-linkage cluster."""
-    pairs = [(near, near + s) for s, near in _near_offsets(vals, modulus, rtol=rtol)]
-    first = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[0] for p in pairs])
-    second = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[1] for p in pairs])
-    head = np.arange(vals.size)
-    while True:
-        low = np.minimum(head[first], head[second])
-        new = head.copy()
-        np.minimum.at(new, first, low)
-        np.minimum.at(new, second, low)
-        if np.array_equal(new, head):
-            return head
-        head = new
-
-
 def _distinct_values(spec, h, radius):
     """Distinct lattice values with modulus <= radius and their multiplicities.
 
@@ -206,7 +190,9 @@ def _distinct_values(spec, h, radius):
     ).astype(np.int64)
     _, first, cell = np.unique(cells, axis=0, return_index=True, return_inverse=True)
     reps = np.sort(first)
-    heads = reps[_cluster_heads(vals[reps], modulus[reps], DEDUP_RTOL)]
+    near = [(i, i + s) for s, i in _near_offsets(vals[reps], modulus[reps], rtol=DEDUP_RTOL)]
+    edges = np.concatenate([np.zeros((2, 0), dtype=np.int64), *map(np.stack, near)], axis=1)
+    heads = reps[components(reps.size, *edges)]
     owner = heads[np.searchsorted(reps, first)][cell.ravel()]
     head, counts = np.unique(owner, return_counts=True)
     return vals[head], counts

@@ -25,33 +25,33 @@ by size, then the sparse ones.  ``_engine``, the one rule, picks per part
 and call from the block size m and the number of shifts k:
 
 - "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): B - z is
-  factored with SuperLU, and ARPACK runs Lanczos on the real symmetric 2m
-  embedding of v -> (B - z)^{-1} (B - z)^{-H} v, whose largest eigenvalue is
-  1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001), to a
-  residual tolerance of 1e-10; the Ritz value's error is quadratic in it.
+  factored with SuperLU per shift, and ``_lanczos`` runs on
+  (B - z)^{-1} (B - z)^{-H}, whose largest eigenvalue is 1/sigma_min^2
+  (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).
 - "schur", blocks of size m >= ``SCHUR_MIN_SIZE`` (40) when k m^2 >=
   ``SCHUR_MIN_WORK`` (5e5): one complex Schur form B = Q T Q^H per block,
-  kept with the operator, so sigma_min(B - z) = sigma_min(T - z); then
-  Lanczos on (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular solves per
-  step, batched over the shifts (``_sigma_min_schur``; Lui, SIAM J. Sci.
-  Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
+  kept with the operator, so sigma_min(B - z) = sigma_min(T - z); then the
+  same ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular
+  solves per step, batched over the shifts (``_sigma_min_schur``; Lui,
+  SIAM J. Sci. Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
 - "dense", any other block: one SVD per shift, stacked over the blocks of
   one size.
 
-Both Lanczos engines start from a fixed vector, so results are reproducible
-at a fixed BLAS thread count.  In a "dense" or "sparse" part each shift
-takes the same arithmetic as a scalar call.  In a "schur" part it runs
-alongside the call's other shifts, so an array call matches scalar calls to
-rounding (a few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable
-sigma_min does), not bit for bit.  Either way, sigma_min below
-1e-14 ||M||_F (an exactly singular LU factor or a zero pivot of T - z
-included) is reported as an infinite norm, the infinity signal.  Spectra
-(``spectrum_truncated``) use a dense eigensolver on each block.
+The one Lanczos recurrence, ``_lanczos``, starts every shift from one fixed
+vector, so results are reproducible at a fixed BLAS thread count.  In a
+"dense" or "sparse" part each shift takes the same arithmetic as a scalar
+call.  In a "schur" part it runs alongside the call's other shifts, so an
+array call matches scalar calls to rounding (a few u ||B - z||
+||(B - z)^{-1}||, as any backward-stable sigma_min does), not bit for bit.
+Either way, sigma_min below 1e-14 ||M||_F (an exactly singular LU factor
+or a zero pivot of T - z included) is reported as an infinite norm, the
+infinity signal.  Spectra use a dense eigensolver on each block.
 
 The constants rest on single-threaded per-shift times on one block (a
-2-core Xeon VM, OpenBLAS).  Dense SVD and SuperLU + ARPACK cross at m of
+2-core Xeon VM, OpenBLAS).  The cutoff was measured against ARPACK, before
+``_lanczos`` ran sparse blocks: dense SVD and SuperLU + ARPACK cross at m of
 about 111 to 121 for d = 1 and 105 to 120 for d = 2; at the cutoff of 110,
-davies at h = 0.1, N = 260 (blocks 131 and 130) takes 4.2-4.3 ms per shift,
+davies at h = 0.1, N = 260 (blocks 131 and 130) took 4.2-4.3 ms per shift,
 against 7.8-8.2 ms on dense SVDs under the former cutoff of 140.  The Schur
 engine overtakes per-shift SVDs on davies blocks (h = 0.05, shifts over the
 window 0..3 x -0.5..2) between 144 and 192 shifts for m = 51 (0.16 against
@@ -62,6 +62,7 @@ these.  Below m = 40 it does not pay at 1200 shifts (m = 31: 0.13 against
 0.11 ms).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,6 +70,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from ._linalg import components
 from .errors import DomainError, NumericalFailureError
 from .lattice import RegionSpec, _simplex_indices, sample_admissible, stable_eigenvalues
 from .symplectic import hamilton_map
@@ -92,8 +94,8 @@ SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-_LANCZOS_CHUNK = 64  # Schur engine: shifts per chunk; the basis holds steps x 64 x m complex
-_LANCZOS_CHECK = 4  # Schur engine: steps between convergence checks
+_LANCZOS_CHUNK = 64  # shifts per Lanczos chunk; the basis holds steps x 64 x m complex
+_LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
 PROBE_MAX_ROUNDS = 3  # probe_theorem: degree increases before giving up
@@ -153,20 +155,7 @@ class TruncatedWeylOperator:
         """
         M = self.matrix
         n = M.shape[0]
-        rows, cols = M.indices, np.repeat(np.arange(n), np.diff(M.indptr))
-        # min-label propagation with pointer jumping: at the fixed point every
-        # index carries the smallest index of its component
-        root = np.arange(n)
-        while True:
-            low = np.minimum(root[rows], root[cols])
-            new = root.copy()
-            np.minimum.at(new, rows, low)
-            np.minimum.at(new, cols, low)
-            while not np.array_equal(new[new], new):
-                new = new[new]
-            if np.array_equal(new, root):
-                break
-            root = new
+        root = components(n, M.indices, np.repeat(np.arange(n), np.diff(M.indptr)))
         _, labels = np.unique(root, return_inverse=True)
         perm = np.argsort(labels, kind="stable")
         P = M[perm][:, perm]
@@ -278,95 +267,50 @@ def spectrum_truncated(op, count):
     return evals[order][:count]
 
 
-def _sigma_min_sparse(B):
-    """Smallest singular value of a sparse square B from one SuperLU factor.
-
-    The largest eigenvalue of the Hermitian operator
-    (B^H B)^{-1} = B^{-1} B^{-H} is 1/sigma_min^2.  ARPACK runs Lanczos on
-    its real symmetric 2n embedding [[Re, -Im], [Im, Re]], which has the
-    same eigenvalues, each doubled, from a seeded real start vector, so the
-    result is reproducible.  An exactly singular factor gives 0.
-    """
-    import scipy.sparse.linalg as spla
-
-    n = B.shape[0]
-    try:
-        lu = spla.splu(B)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        if "singular" not in str(exc):
-            raise NumericalFailureError(f"SuperLU for sigma_min failed: {exc}") from exc
-        return 0.0
-
-    def inv_gram(u):
-        w = lu.solve(lu.solve(u[:n] + 1j * u[n:], trans="H"))
-        return np.concatenate((w.real, w.imag))
-
-    op = spla.LinearOperator((2 * n, 2 * n), matvec=inv_gram, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(2 * n)
-    try:
-        lam = spla.eigsh(op, k=1, which="LA", tol=_LANCZOS_TOL, v0=v0,
-                         return_eigenvectors=False)
-    except spla.ArpackError as exc:  # ArpackNoConvergence is a subclass
-        raise NumericalFailureError(f"ARPACK for sigma_min failed: {exc}") from exc
-    lam = float(lam[0])
-    if not math.isfinite(lam):  # B^{-1} overflowed: numerically singular
-        return 0.0
-    return 1.0 / math.sqrt(lam)
-
-
-def _sigma_min_schur(T, zs):
-    """sigma_min(T - z) of an upper triangular T for a 1-D array of shifts.
-
-    Lanczos on (T - z)^{-1} (T - z)^{-H}, whose largest eigenvalue is
-    1/sigma_min^2, over ``_LANCZOS_CHUNK`` shifts at a time, each from one
-    seeded vector.  A step is two triangular solves, each a loop over the
-    rows of T vectorised across the shifts, then full reorthogonalisation
-    (twice) against each shift's basis.  Every ``_LANCZOS_CHECK`` steps (and
-    when w vanishes or overflows) the tridiagonal matrices are solved, and a
-    shift whose largest Ritz value has a residual below ``_LANCZOS_TOL``
-    times itself is finished and dropped from the chunk.  A shift on a
-    diagonal entry of T (an exact zero pivot), or whose solves overflow,
-    gives 0.
-    """
-    m = len(T)
-    lower = [T[:i, i].conj() for i in range(m)]  # row i of T^H left of the diagonal
-    upper = [T[i, i + 1:] for i in range(m)]
-    diag = np.diag(T)[:, None]
+@functools.lru_cache(maxsize=16)
+def _start(m):
+    """The unit start vector of ``_lanczos`` in dimension m, read-only as it is shared."""
     q0 = np.random.default_rng(0).standard_normal(m)
     q0 /= np.linalg.norm(q0)
-    out = np.zeros(len(zs))
-    todo = np.flatnonzero((diag != zs).all(0))
-    # the conjugated basis of each shift of the chunk in its first rows, one
-    # row per step; np.zeros maps it lazily, so only rows written take memory
-    Vh = np.zeros((min(_LANCZOS_CHUNK, len(todo)), m, m), dtype=complex)
+    q0.flags.writeable = False
+    return q0
+
+
+def _lanczos(m, count, solve):
+    """sigma_min of ``count`` shifted m x m matrices B - z from their solves.
+
+    ``solve(q, run)`` returns (B - z)^{-1} (B - z)^{-H} q[:, j] in column j,
+    z being shift run[j].  Lanczos on that operator (top eigenvalue
+    1/sigma_min^2) runs ``_LANCZOS_CHUNK`` shifts at a time, reorthogonalising
+    twice.  Every ``_LANCZOS_CHECK`` steps (and when w vanishes or overflows)
+    a shift whose top Ritz value has a residual below ``_LANCZOS_TOL`` times
+    itself is dropped; overflowing solves give 0.  The basis doubles its
+    rows when full, so memory follows the steps taken."""
+    q0 = _start(m)
+    out = np.zeros(count)
+    # the conjugated basis of each shift of the chunk, one row per step
+    Vh = np.zeros((min(_LANCZOS_CHUNK, count), 1, m), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(todo), _LANCZOS_CHUNK):
-            run = todo[start:start + _LANCZOS_CHUNK]  # the chunk's unfinished shifts
-            d = diag - zs[run]
+        for start in range(0, count, _LANCZOS_CHUNK):
+            run = np.arange(start, min(start + _LANCZOS_CHUNK, count))  # unfinished shifts
             q = np.repeat(q0[:, None], len(run), 1).astype(complex)
             Vh[:, 0] = q0
             ab = np.zeros((len(run), m, 2))  # alpha, beta per step
             for n in range(1, m + 1):  # n steps taken at the end of the body
-                dh = d.conj()
-                y = np.empty_like(q)
-                for i in range(m):
-                    y[i] = (q[i] - lower[i] @ y[:i]) / dh[i]
-                w = np.empty_like(q)
-                for i in range(m - 1, -1, -1):
-                    w[i] = (y[i] - upper[i] @ w[i + 1:]) / d[i]
+                w = solve(q, run)
                 ab[:, n - 1, 0] = np.einsum("ms,ms->s", q.conj(), w).real
                 basis = Vh[:len(run), :n]
                 for _ in range(2):
                     c = (basis @ w.T[:, :, None]).conj()
                     w -= (basis.transpose(0, 2, 1) @ c)[:, :, 0].T.conj()
-                b = ab[:, n - 1, 1] = np.linalg.norm(w, axis=0)
+                b = ab[:, n - 1, 1] = np.sqrt((w.conj() * w).real.sum(0))  # the 2-norms
                 ok = np.isfinite(b)
                 if not (n % _LANCZOS_CHECK and n < m and (ok & (b > 0)).all()):
-                    k = np.arange(n)
-                    tri = np.zeros((ok.sum(), n, n))
-                    tri[:, k, k] = ab[ok, :n, 0]
-                    tri[:, k[1:], k[:-1]] = tri[:, k[:-1], k[1:]] = ab[ok, :n - 1, 1]
-                    ev, vec = np.linalg.eigh(tri)
+                    sub = ab[ok, :n]
+                    tri = np.zeros((len(sub), n * n))  # flattened; stride n + 1 is a diagonal
+                    tri[:, ::n + 1] = sub[:, :, 0]
+                    tri[:, 1::n + 1] = tri[:, n::n + 1] = sub[:, :-1, 1]
+                    ev, vec = np.linalg.eigh(tri.reshape(-1, n, n))
                     top = ev[:, -1]
                     conv = (b[ok] * np.abs(vec[:, -1, -1]) <= _LANCZOS_TOL * top) | (n == m)
                     out[run[ok][conv]] = 1.0 / np.sqrt(top[conv])
@@ -374,10 +318,56 @@ def _sigma_min_schur(T, zs):
                     keep[ok] = ~conv
                     if not keep.any():
                         break
-                    run, d, w, b, ab = run[keep], d[:, keep], w[:, keep], b[keep], ab[keep]
-                    Vh[:len(run), :n] = Vh[np.flatnonzero(keep), :n]
+                    run, w, b, ab = run[keep], w[:, keep], b[keep], ab[keep]
+                    if not keep.all():  # move the basis only when a shift left
+                        Vh[:len(run), :n] = Vh[np.flatnonzero(keep), :n]
+                if n == Vh.shape[1]:
+                    grown = np.zeros((len(Vh), min(2 * n, m), m), dtype=complex)
+                    grown[:, :n] = Vh
+                    Vh = grown
                 q = w / b
                 Vh[:len(run), n] = q.T.conj()
+    return out
+
+
+def _sigma_min_sparse(B):
+    """sigma_min of a sparse square B: ``_lanczos`` on B^{-1} B^{-H}, two
+    solves of one SuperLU factor per step.  An exactly singular factor gives 0."""
+    import scipy.sparse.linalg as spla
+
+    try:
+        lu = spla.splu(B)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        if "singular" not in str(exc):
+            raise NumericalFailureError(f"SuperLU for sigma_min failed: {exc}") from exc
+        return 0.0
+    return float(_lanczos(B.shape[0], 1, lambda q, run: lu.solve(lu.solve(q, trans="H")))[0])
+
+
+def _sigma_min_schur(T, zs):
+    """sigma_min(T - z) of an upper triangular T for a 1-D array of shifts:
+    ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, each solve two loops over the
+    rows of T vectorised across the shifts.  A shift on a diagonal entry of
+    T (an exact zero pivot) gives 0."""
+    m = len(T)
+    lower = [T[:i, i].conj() for i in range(m)]  # row i of T^H left of the diagonal
+    upper = [T[i, i + 1:] for i in range(m)]
+    diag = np.diag(T)[:, None]
+    out = np.zeros(len(zs))
+    todo = np.flatnonzero((diag != zs).all(0))
+
+    def solve(q, run):
+        d = diag - zs[todo[run]]
+        dh = d.conj()
+        y = np.empty_like(q)
+        for i in range(m):
+            y[i] = (q[i] - lower[i] @ y[:i]) / dh[i]
+        w = np.empty_like(q)
+        for i in range(m - 1, -1, -1):
+            w[i] = (y[i] - upper[i] @ w[i + 1:]) / d[i]
+        return w
+
+    out[todo] = _lanczos(m, len(todo), solve)
     return out
 
 
@@ -390,15 +380,6 @@ def _engine(part, shifts):
         return "sparse"
     m = part.shape[-1]
     return "schur" if m >= SCHUR_MIN_SIZE and shifts * m * m >= SCHUR_MIN_WORK else "dense"
-
-
-def _sigma_min(B, z):
-    """sigma_min(B - z) of a sparse matrix (SuperLU + ARPACK), or the
-    smallest over a (count, m, m) stack of dense ones, by one SVD call."""
-    m = B.shape[-1]
-    if isinstance(B, np.ndarray):
-        return float(np.linalg.svd(B - z * np.eye(m), compute_uv=False)[..., -1].min())
-    return _sigma_min_sparse(B - z * sp.identity(m, dtype=complex, format="csc"))
 
 
 def resolvent_norm(op, z):
@@ -418,10 +399,16 @@ def resolvent_norm(op, z):
     floor = INFINITY_SIGMA_RTOL * max(float(np.linalg.norm(op.matrix.data)), 1e-300)
     smin = np.full(zs.shape, np.inf)
     for i, part in enumerate(op._sigma_parts):
-        if _engine(part, zs.size) == "schur":
+        engine = _engine(part, zs.size)
+        if engine == "schur":
             s = np.min([_sigma_min_schur(T, zs) for T in op._schur(i)], axis=0)
-        else:
-            s = [_sigma_min(part, zi) for zi in zs.tolist()]
+        elif engine == "sparse":
+            eye = sp.identity(part.shape[0], dtype=complex, format="csc")
+            s = [_sigma_min_sparse(part - zi * eye) for zi in zs.tolist()]
+        else:  # one SVD call per shift over the whole stack
+            eye = np.eye(part.shape[-1])
+            s = [np.linalg.svd(part - zi * eye, compute_uv=False)[:, -1].min()
+                 for zi in zs.tolist()]
         smin = np.minimum(smin, s)
     out = np.array([math.inf if s < floor else 1.0 / s for s in smin.tolist()]).reshape(z.shape)
     return float(out) if out.ndim == 0 else out

@@ -543,23 +543,24 @@ def _smallest_block(N):
     return min(len(idx) for idx, _ in op.blocks)
 
 
-@pytest.mark.parametrize("kind", ["no_convergence", "error"])
-def test_cli_arpack_failure_exit_code(capsys, monkeypatch, kind):
+def test_cli_sparse_blocks_run_without_arpack(capsys, monkeypatch):
+    # blocks above the cutoff run the shared Lanczos recurrence on SuperLU solves,
+    # so a broken ARPACK changes nothing
     import scipy.sparse.linalg as spla
     from dcspec.weyl import DENSE_SVD_CUTOFF
 
     def fail(*args, **kwargs):
-        if kind == "no_convergence":
-            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
         raise spla.ArpackError(-9999)
 
     monkeypatch.setattr(spla, "eigsh", fail)
     assert _smallest_block(300) > DENSE_SVD_CUTOFF  # blocks 151 and 150 reach the sparse engine
     argv = ["resolvent", "--symbol", "davies.json", "--h", "1", "--N", "300", "--z", "2,0.5"]
-    assert run(argv) == 3
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "NumericalFailureError"
-    assert "ARPACK" in payload["message"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    op = dc.quantize_quadratic(parse_symbol_spec("davies.json"), dc.HermiteTruncation(1, 300, 1.0))
+    M = op.matrix.toarray() - complex(2, 0.5) * np.eye(op.trunc.size)
+    want = 1.0 / np.linalg.svd(M, compute_uv=False)[-1]
+    assert out["norm"] == pytest.approx(want, rel=1e-10)
 
 
 def test_cli_superlu_failure_exit_code(capsys, monkeypatch):
@@ -797,7 +798,8 @@ def test_cli_probe_theorem_deterministic(tmp_path, capsys):
 
 
 def test_cli_probe_theorem_byte_identical_across_processes(tmp_path):
-    # the sparse LU + ARPACK path (n >= 325 here) is reproducible across processes
+    # the per-shift SVDs of kfp's degree shells (n >= 325 here) are
+    # reproducible across processes
     def make_args(out_dir):
         csv_path = out_dir / "probe.csv"
         args = ["probe-theorem", "--symbol", "kfp.json", "--C0", "0.15", "--C1", "10",
@@ -875,3 +877,37 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["s_dim"] == 0
+
+
+def _strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_summary_json_is_strict_for_infinite_delta_max(capsys, tmp_path):
+    # x^2 has a nilpotent H_G, so every delta is admissible: delta_max = inf
+    sym = tmp_path / "x2.json"
+    sym.write_text('{"dim":1,"terms":[{"alpha":[2],"beta":[0],"re":1.0,"im":0.0}]}')
+    assert run(["deform", "--symbol", str(sym), "--delta", "0.1"]) == 0
+    assert _strict_json(capsys.readouterr().out)["delta_max"] == "inf"
+
+
+def test_cli_summary_json_is_strict_for_no_finite_change(capsys):
+    # a one-point grid on an eigenvalue: no point is finite at both levels
+    argv = ["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1", "--N", "20",
+            "--window=0.1,0.1,0,0", "--res", "1,1"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert _strict_json(out.splitlines()[-1])["max_log10_change"] == "inf"
+
+
+def test_cli_summary_json_is_strict_for_undefined_fit(capsys):
+    # one h gives no growth exponent: fit_exponent = nan
+    argv = ["probe-theorem", "--symbol", "kfp.json", "--C0", "0.15", "--C1", "10",
+            "--h-list", "0.2", "--samples", "1"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert _strict_json(out.splitlines()[-1])["fit_exponent"] == "nan"

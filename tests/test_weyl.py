@@ -445,6 +445,27 @@ def test_sigma_min_schur_small_and_degenerate_inputs():
     assert tiny[0] == 0.0 and tiny[1] == pytest.approx(abs(1e-300 - 0.5j), rel=1e-12)
 
 
+def test_sigma_min_sparse_basis_grows_with_steps():
+    # the Lanczos basis takes rows as steps are taken: on an m = 3001 block
+    # the whole call stays below an eighth of one m x m complex array
+    import tracemalloc
+
+    from dcspec.weyl import _sigma_min_sparse
+
+    op = dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, 6000, 0.005))
+    _, b = op.blocks[0]
+    m = b.shape[0]
+    assert m == 3001
+    B = b - complex(-1, 0.5) * sp.identity(m, dtype=complex, format="csc")
+    tracemalloc.start()
+    try:
+        _sigma_min_sparse(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 16 / 8
+
+
 def test_sample_admissible_counts_its_last_draw(kfp, monkeypatch):
     # kfp at h = 0.1: the fifth admissible point comes on draw 10, so a cap of
     # 10 draws returns the same five points as the default cap
@@ -542,6 +563,33 @@ def test_blocks_are_the_connected_components(source):
         assert [idx.tolist() for idx, _ in op.blocks] == [
             np.flatnonzero(labels == b).tolist() for b in range(labels.max() + 1)
         ]
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    source=st.sampled_from(["random-d1", "random-d2", "kfp", "wedge"]),
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(0, 12),
+)
+def test_blocks_reassemble_the_matrix(source, seed, N):
+    # the blocks scattered back by their indices are M exactly, and no stored
+    # entry joins two blocks
+    from conftest import random_complex_form
+
+    if source.startswith("random"):
+        q = random_complex_form(np.random.default_rng(seed), int(source[-1]))
+    else:
+        q = parse_symbol_spec("kfp.json" if source == "kfp" else "wedge_model.json")
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, 0.3))
+    M = op.matrix
+    rebuilt = np.zeros(M.shape, dtype=complex)
+    label = np.full(M.shape[0], -1)
+    for j, (idx, b) in enumerate(op.blocks):
+        rebuilt[np.ix_(idx, idx)] = b.toarray() if sp.issparse(b) else b
+        label[idx] = j
+    assert np.array_equal(rebuilt, M.toarray())
+    rows, cols = M.nonzero()
+    assert (label >= 0).all() and np.array_equal(label[rows], label[cols])
 
 
 @pytest.mark.parametrize("source", _BUNDLED)
