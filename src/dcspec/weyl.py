@@ -24,11 +24,11 @@ value over ``TruncatedWeylOperator._sigma_parts``: the dense blocks stacked
 by size, then the sparse ones.  ``_engine``, the one rule, picks per part
 and call from the block size m and the number of shifts k:
 
-- "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): B - z is
-  factored with SuperLU per shift, and ``_lanczos`` runs on
-  (B - z)^{-1} (B - z)^{-H}, whose largest eigenvalue is 1/sigma_min^2
-  (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).
-- "schur", blocks of size m >= ``SCHUR_MIN_SIZE`` (40) when k m^2 >=
+- "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): B - z, made by
+  moving B's stored diagonal, is factored with SuperLU per shift, and
+  ``_lanczos`` runs on (B - z)^{-1} (B - z)^{-H}, whose largest eigenvalue
+  is 1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).
+- "schur", blocks of size m >= ``SCHUR_MIN_SIZE`` (20) when k m^2 >=
   ``SCHUR_MIN_WORK`` (5e5): one complex Schur form B = Q T Q^H per block,
   kept with the operator, so sigma_min(B - z) = sigma_min(T - z); then the
   same ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular
@@ -37,29 +37,30 @@ and call from the block size m and the number of shifts k:
 - "dense", any other block: one SVD per shift, stacked over the blocks of
   one size.
 
-The one Lanczos recurrence, ``_lanczos``, starts every shift from one fixed
-vector, so results are reproducible at a fixed BLAS thread count.  In a
-"dense" or "sparse" part each shift takes the same arithmetic as a scalar
-call.  In a "schur" part it runs alongside the call's other shifts, so an
-array call matches scalar calls to rounding (a few u ||B - z||
-||(B - z)^{-1}||, as any backward-stable sigma_min does), not bit for bit.
-Either way, sigma_min below 1e-14 ||M||_F (an exactly singular LU factor
-or a zero pivot of T - z included) is reported as an infinite norm, the
-infinity signal.  Spectra use a dense eigensolver on each block.
+``_lanczos``, one three-term recurrence over chunks of 256 shifts with no
+stored basis (memory O(256 m)), accepts a shift when a Ritz value next to
+the top one, the top value or a ghost copy of it, has a small residual, and
+raises NumericalFailureError (exit code 3) after 4 m steps.  It starts
+every shift from one fixed vector, so results are reproducible at a fixed
+BLAS thread count.  In a "dense" or "sparse" part each shift takes the same
+arithmetic as a scalar call.  In a "schur" part it runs alongside the
+call's other shifts, so an array call matches scalar calls to rounding (a
+few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable sigma_min does),
+not bit for bit.  Either way, sigma_min below 1e-14 ||M||_F (an exactly
+singular LU factor or a zero pivot of T - z included) is reported as an
+infinite norm, the infinity signal.  Spectra use a dense eigensolver on
+each block.
 
 The constants rest on single-threaded per-shift times on one block (a
-2-core Xeon VM, OpenBLAS).  The cutoff was measured against ARPACK, before
-``_lanczos`` ran sparse blocks: dense SVD and SuperLU + ARPACK cross at m of
-about 111 to 121 for d = 1 and 105 to 120 for d = 2; at the cutoff of 110,
-davies at h = 0.1, N = 260 (blocks 131 and 130) took 4.2-4.3 ms per shift,
-against 7.8-8.2 ms on dense SVDs under the former cutoff of 140.  The Schur
-engine overtakes per-shift SVDs on davies blocks (h = 0.05, shifts over the
-window 0..3 x -0.5..2) between 144 and 192 shifts for m = 51 (0.16 against
-0.22 ms per shift at 480), by 96 for m = 61 and by 480 for m = 41 (0.22
-against 0.25 ms); on wedge (h = 0.1, m = 66) by 64 shifts.  k m^2 = 5e5
-(192 shifts at m = 51, 298 at m = 41, 115 at m = 66) sits at or above
-these.  Below m = 40 it does not pay at 1200 shifts (m = 31: 0.13 against
-0.11 ms).
+2-core Xeon VM, OpenBLAS), Schur forms included.  The Schur engine beats
+per-shift SVDs on davies blocks (h = 0.05, shifts over 0..3 x -0.5..2)
+from 32 to 64 shifts at m = 41, 51, 61 (at m = 51 and 64 shifts, 0.15
+against 0.21 ms) and 110, and on wedge (h = 0.1, m = 66) near 32: k m^2 =
+5e5 (193 shifts at m = 51, 42 at 110) sits at or above these.  At 1200
+shifts it pays from m = 16 (0.030 against 0.036 ms; m = 11 ties).  Dense
+SVD and SuperLU + Lanczos cross at m = 81 to 91 for d = 1 and near 90 for
+d = 2, but a CSC block takes one LU per shift however many shifts come, so
+the cutoff stays at 110, where a many-shift call still takes Schur.
 """
 
 import functools
@@ -89,12 +90,12 @@ __all__ = [
 ]
 
 DENSE_SVD_CUTOFF = 110  # largest block kept dense
-SCHUR_MIN_SIZE = 40  # smallest block the Schur engine takes
+SCHUR_MIN_SIZE = 20  # smallest block the Schur engine takes
 SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-_LANCZOS_CHUNK = 64  # shifts per Lanczos chunk; the basis holds steps x 64 x m complex
+_LANCZOS_CHUNK = 256  # shifts per Lanczos chunk; with no stored basis, memory is O(256 m)
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
@@ -151,7 +152,8 @@ class TruncatedWeylOperator:
         ``quantize_quadratic`` stores no exact zeros, so the split needs no
         tolerance.  Blocks are ordered by their smallest index, and indices
         are increasing within a block.  A block of size <= ``DENSE_SVD_CUTOFF``
-        is a dense array, a larger one CSC.  Built on first use and kept.
+        is a dense array, a larger one CSC with its whole diagonal stored.  Built
+        on first use and kept.
         """
         M = self.matrix
         n = M.shape[0]
@@ -172,8 +174,10 @@ class TruncatedWeylOperator:
             if size <= DENSE_SVD_CUTOFF:
                 b = np.zeros((size, size), dtype=P.dtype)
                 b[rows[sel], cols[sel]] = P.data[sel]
-            else:
-                b = sp.csc_matrix((P.data[sel], (rows[sel], cols[sel])), shape=(size, size))
+            else:  # every diagonal entry stored, zeros too, so a shift moves only data
+                i = np.arange(size)
+                ij = (np.r_[rows[sel], i], np.r_[cols[sel], i])
+                b = sp.csc_matrix((np.r_[P.data[sel], np.zeros(size)], ij), shape=(size, size))
             out.append((perm[stop - size:stop], b))
         return tuple(out)
 
@@ -281,52 +285,49 @@ def _lanczos(m, count, solve):
 
     ``solve(q, run)`` returns (B - z)^{-1} (B - z)^{-H} q[:, j] in column j,
     z being shift run[j].  Lanczos on that operator (top eigenvalue
-    1/sigma_min^2) runs ``_LANCZOS_CHUNK`` shifts at a time, reorthogonalising
-    twice.  Every ``_LANCZOS_CHECK`` steps (and when w vanishes or overflows)
-    a shift whose top Ritz value has a residual below ``_LANCZOS_TOL`` times
-    itself is dropped; overflowing solves give 0.  The basis doubles its
-    rows when full, so memory follows the steps taken."""
+    1/sigma_min^2) runs ``_LANCZOS_CHUNK`` shifts at a time as the plain
+    three-term recurrence in Paige's order: no basis is stored or
+    reorthogonalised against, so lost orthogonality only adds ghost copies
+    of converged Ritz values (Paige, Linear Algebra Appl. 34, 1980).  Every
+    ``_LANCZOS_CHECK`` steps, at step m and when w vanishes or overflows, a
+    shift is done if a Ritz value within ``_LANCZOS_TOL`` times the top one
+    has a residual below that, and reports the top one; overflowing solves
+    give 0.  A shift still running after 4 m steps raises
+    NumericalFailureError."""
     q0 = _start(m)
     out = np.zeros(count)
-    # the conjugated basis of each shift of the chunk, one row per step
-    Vh = np.zeros((min(_LANCZOS_CHUNK, count), 1, m), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, _LANCZOS_CHUNK):
             run = np.arange(start, min(start + _LANCZOS_CHUNK, count))  # unfinished shifts
             q = np.repeat(q0[:, None], len(run), 1).astype(complex)
-            Vh[:, 0] = q0
-            ab = np.zeros((len(run), m, 2))  # alpha, beta per step
-            for n in range(1, m + 1):  # n steps taken at the end of the body
+            q_prev = b = 0.0
+            ab = np.zeros((len(run), 4 * m, 2))  # alpha, beta per step, by place in the chunk
+            for n in range(1, 4 * m + 1):  # n steps taken at the end of the body
                 w = solve(q, run)
-                ab[:, n - 1, 0] = np.einsum("ms,ms->s", q.conj(), w).real
-                basis = Vh[:len(run), :n]
-                for _ in range(2):
-                    c = (basis @ w.T[:, :, None]).conj()
-                    w -= (basis.transpose(0, 2, 1) @ c)[:, :, 0].T.conj()
-                b = ab[:, n - 1, 1] = np.sqrt((w.conj() * w).real.sum(0))  # the 2-norms
+                w -= b * q_prev
+                a = ab[run - start, n - 1, 0] = np.einsum("ms,ms->s", q.conj(), w).real
+                w -= a * q
+                b = ab[run - start, n - 1, 1] = np.sqrt((w.conj() * w).real.sum(0))  # the 2-norms
                 ok = np.isfinite(b)
-                if not (n % _LANCZOS_CHECK and n < m and (ok & (b > 0)).all()):
-                    sub = ab[ok, :n]
+                if not (n % _LANCZOS_CHECK and n != m and (ok & (b > 0)).all()):
+                    sub = ab[run[ok] - start, :n]
                     tri = np.zeros((len(sub), n * n))  # flattened; stride n + 1 is a diagonal
                     tri[:, ::n + 1] = sub[:, :, 0]
                     tri[:, 1::n + 1] = tri[:, n::n + 1] = sub[:, :-1, 1]
                     ev, vec = np.linalg.eigh(tri.reshape(-1, n, n))
-                    top = ev[:, -1]
-                    conv = (b[ok] * np.abs(vec[:, -1, -1]) <= _LANCZOS_TOL * top) | (n == m)
-                    out[run[ok][conv]] = 1.0 / np.sqrt(top[conv])
+                    top = ev[:, -1:]
+                    tol = _LANCZOS_TOL * top
+                    conv = ((top - ev <= tol) & (b[ok, None] * np.abs(vec[:, -1]) <= tol)).any(1)
+                    out[run[ok][conv]] = 1.0 / np.sqrt(top[conv, 0])
                     keep = ok.copy()
                     keep[ok] = ~conv
                     if not keep.any():
                         break
-                    run, w, b, ab = run[keep], w[:, keep], b[keep], ab[keep]
-                    if not keep.all():  # move the basis only when a shift left
-                        Vh[:len(run), :n] = Vh[np.flatnonzero(keep), :n]
-                if n == Vh.shape[1]:
-                    grown = np.zeros((len(Vh), min(2 * n, m), m), dtype=complex)
-                    grown[:, :n] = Vh
-                    Vh = grown
-                q = w / b
-                Vh[:len(run), n] = q.T.conj()
+                    run, q, w, b = run[keep], q[:, keep], w[:, keep], b[keep]
+                q_prev, q = q, w / b
+            else:  # 4 m is a multiple of _LANCZOS_CHECK, so the last step was checked
+                raise NumericalFailureError(f"Lanczos for sigma_min left {len(run)} of {count} "
+                                            f"shifts unconverged after {4 * m} steps (m = {m})")
     return out
 
 
@@ -402,9 +403,11 @@ def resolvent_norm(op, z):
         engine = _engine(part, zs.size)
         if engine == "schur":
             s = np.min([_sigma_min_schur(T, zs) for T in op._schur(i)], axis=0)
-        elif engine == "sparse":
-            eye = sp.identity(part.shape[0], dtype=complex, format="csc")
-            s = [_sigma_min_sparse(part - zi * eye) for zi in zs.tolist()]
+        elif engine == "sparse":  # z moves only the stored diagonal (``blocks``)
+            data, rows, ptr = part.data, part.indices, part.indptr
+            diag = rows == np.repeat(np.arange(part.shape[0]), np.diff(ptr))
+            s = [_sigma_min_sparse(sp.csc_matrix((np.where(diag, data - zi, data), rows, ptr),
+                                                 shape=part.shape)) for zi in zs.tolist()]
         else:  # one SVD call per shift over the whole stack
             eye = np.eye(part.shape[-1])
             s = [np.linalg.svd(part - zi * eye, compute_uv=False)[:, -1].min()
@@ -494,18 +497,13 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
             op_f = quantize_quadratic(q, HermiteTruncation(q.dim, finer, h))
             norms_f = resolvent_norm(op_f, zs)
             ok = np.isfinite(norms) & np.isfinite(norms_f)
-            rel = (
-                float(np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))
-                if ok.any()
-                else math.inf
-            )
+            rel = math.inf if not ok.any() else float(
+                np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))
             degree, norms = finer, norms_f
             if rel <= PROBE_CONVERGE_RTOL:
                 break
         else:
-            raise NumericalFailureError(
-                f"resolvent norms did not stabilize in N at h={h}"
-            )
+            raise NumericalFailureError(f"resolvent norms did not stabilize in N at h={h}")
         max_rel = max(max_rel, rel)
         degrees[h] = degree
         rows.extend((h, z, float(nv)) for z, nv in zip(zs, norms))

@@ -420,6 +420,7 @@ def test_engine_rule():
     assert _engine(stack(37), 20) == _engine(stack(SCHUR_MIN_SIZE - 1), 10**6) == "dense"
     assert _engine(stack(45), 1200) == _engine(stack(DENSE_SVD_CUTOFF), 42) == "schur"
     assert _engine(stack(51), 192) == "dense" and _engine(stack(51), 193) == "schur"
+    assert _engine(stack(19), 10**6) == "dense" and _engine(stack(20), 1250) == "schur"
     assert _engine(sp.identity(DENSE_SVD_CUTOFF + 1, format="csc"), 10**6) == "sparse"
 
 
@@ -446,8 +447,8 @@ def test_sigma_min_schur_small_and_degenerate_inputs():
 
 
 def test_sigma_min_sparse_basis_grows_with_steps():
-    # the Lanczos basis takes rows as steps are taken: on an m = 3001 block
-    # the whole call stays below an eighth of one m x m complex array
+    # the Lanczos recurrence stores no basis, only a few vectors per shift:
+    # on an m = 3001 block the whole call stays below 64 complex m-vectors
     import tracemalloc
 
     from dcspec.weyl import _sigma_min_sparse
@@ -463,7 +464,73 @@ def test_sigma_min_sparse_basis_grows_with_steps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < m * m * 16 / 8
+    assert peak < 64 * m * 16
+
+
+def test_lanczos_step_bound_is_a_typed_failure(monkeypatch):
+    # with a residual tolerance of 0 no shift converges, and after 4 m
+    # Lanczos steps the engine raises instead of returning a value
+    from dcspec import weyl
+    from dcspec.errors import NumericalFailureError
+
+    monkeypatch.setattr(weyl, "_LANCZOS_TOL", 0.0)
+    rng = np.random.default_rng(0)
+    T = np.triu(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    with pytest.raises(NumericalFailureError, match="after 20 steps"):
+        weyl._sigma_min_schur(T, np.array([0.3 + 0.2j, -1.0]))
+
+
+def _hard_triangles(rng, m):
+    """Upper triangular test matrices of size m: random, Jordan, column-graded
+    and nearly normal."""
+    G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    d = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    yield np.triu(G)
+    yield np.diag(d) + np.diag(np.ones(m - 1), 1)
+    yield np.triu(G) * np.logspace(0, -6, m)
+    yield np.diag(d) + 1e-8 * np.triu(G, 1)
+
+
+@pytest.mark.parametrize("m", [2, 5, 12, 41, 64, 110])
+def test_sigma_min_schur_hard_triangles_against_svd(m):
+    # the Schur engine's Lanczos on non-normal, defective, graded and nearly
+    # normal triangles is within c m u ||T - z|| ||(T - z)^{-1}|| of a dense
+    # SVD per shift, c = 3; only m = 2, where the SVD's own rounding
+    # dominates, comes near it
+    from dcspec.weyl import _sigma_min_schur
+
+    rng = np.random.default_rng(m)
+    for T in _hard_triangles(rng, m):
+        ev = np.diag(T)
+        r = np.abs(ev - ev.mean()).max() + 1
+        zs = ev.mean() + r * (rng.uniform(-1.5, 1.5, 100) + 1j * rng.uniform(-1.5, 1.5, 100))
+        s = np.array([np.linalg.svd(T - z * np.eye(m), compute_uv=False) for z in zs])
+        want, cond = s[:, -1], s[:, 0] / s[:, -1]
+        got = _sigma_min_schur(T, zs)
+        assert np.all(np.abs(got - want) <= 3 * m * _U * cond * want)
+
+
+def test_sparse_shift_through_stored_diagonal_matches_identity_subtraction():
+    # resolvent_norm shifts a sparse block by moving its stored diagonal; the
+    # former B - z I (the oracle here) gives the same sigma_min bit for bit,
+    # also on blocks that lack diagonal entries: with R_00 = -R_11 exactly,
+    # the diagonal of this random d = 2 form vanishes where k_1 = k_2
+    from dcspec.weyl import _sigma_min_sparse
+
+    rng = np.random.default_rng(6)
+    A = (rng.integers(-8, 9, (4, 4)) + 1j * rng.integers(-8, 9, (4, 4))) / 8
+    A = A + A.T
+    A[3, 3] = -A[0, 0] - A[2, 2] - A[1, 1]
+    op = dc.quantize_quadratic(dc.QuadraticForm(2, A), dc.HermiteTruncation(2, 22, 0.5))
+    M = op.matrix
+    assert np.count_nonzero(M.diagonal() == 0) > 0
+    parts = [b for _, b in op.blocks]
+    assert [b.shape[0] for b in parts] == [144, 132] and all(sp.issparse(b) for b in parts)
+    floor = 1e-14 * np.linalg.norm(M.data)
+    for z in (rng.uniform(-4, 4, 12) + 1j * rng.uniform(-4, 4, 12)).tolist():
+        smin = min(_sigma_min_sparse(b - z * sp.identity(b.shape[0], dtype=complex, format="csc"))
+                   for b in parts)
+        assert smin >= floor and dc.resolvent_norm(op, z) == 1.0 / smin
 
 
 def test_sample_admissible_counts_its_last_draw(kfp, monkeypatch):
