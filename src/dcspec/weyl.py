@@ -37,12 +37,18 @@ and call from the block size m and the number of shifts k:
 - "dense", any other block: one SVD per shift, stacked over the blocks of
   one size.
 
-``_lanczos``, one three-term recurrence over chunks of 256 shifts with no
-stored basis (memory O(256 m)), accepts a shift when a Ritz value next to
-the top one, the top value or a ghost copy of it, has a small residual, and
-raises NumericalFailureError (exit code 3) after 4 m steps.  It starts
-every shift from one fixed vector, so results are reproducible at a fixed
-BLAS thread count.  In a "dense" or "sparse" part each shift takes the same
+``_lanczos``, one three-term recurrence with no stored basis, runs
+max(1, 2^15 // m) shifts at a time, so a vector block holds at most
+``_LANCZOS_ENTRIES`` (2^15) complex entries and a call a few such blocks.
+It accepts a shift when a Ritz value next to the top one, the top value or
+a ghost copy of it, has a small residual, and raises NumericalFailureError
+(exit code 3) after 4 m steps.  The check (``_ritz_check``) takes only the
+Ritz values, and the residual of the top one from a pivot recurrence; a
+shift with a ghost pair or a pivot that is not positive and finite takes
+the Ritz vectors instead, as does a lone shift (a sparse block's call,
+where one ``eigh`` costs less than the pivots' calls).  It starts every
+shift from one fixed vector, so results are reproducible at a fixed BLAS
+thread count.  In a "dense" or "sparse" part each shift takes the same
 arithmetic as a scalar call.  In a "schur" part it runs alongside the
 call's other shifts, so an array call matches scalar calls to rounding (a
 few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable sigma_min does),
@@ -52,15 +58,18 @@ infinite norm, the infinity signal.  Spectra use a dense eigensolver on
 each block.
 
 The constants rest on single-threaded per-shift times on one block (a
-2-core Xeon VM, OpenBLAS), Schur forms included.  The Schur engine beats
-per-shift SVDs on davies blocks (h = 0.05, shifts over 0..3 x -0.5..2)
-from 32 to 64 shifts at m = 41, 51, 61 (at m = 51 and 64 shifts, 0.15
-against 0.21 ms) and 110, and on wedge (h = 0.1, m = 66) near 32: k m^2 =
-5e5 (193 shifts at m = 51, 42 at 110) sits at or above these.  At 1200
-shifts it pays from m = 16 (0.030 against 0.036 ms; m = 11 ties).  Dense
-SVD and SuperLU + Lanczos cross at m = 81 to 91 for d = 1 and near 90 for
-d = 2, but a CSC block takes one LU per shift however many shifts come, so
-the cutoff stays at 110, where a many-shift call still takes Schur.
+2-core Xeon VM, OpenBLAS, medians of 7 interleaved runs), Schur forms
+included.  The Schur engine beats per-shift SVDs on davies blocks
+(h = 0.05, shifts over 0..3 x -0.5..2) from 96 to 128 shifts at m = 20,
+from 48 to 64 at m = 41, 51 and 61 (at m = 51 and 64 shifts, 0.16 against
+0.20 ms) and from about 32 at m = 110, and on wedge (h = 0.1, m = 66) from
+32 to 48: k m^2 = 5e5 (1250 shifts at m = 20, 193 at 51, 42 at 110) sits at
+or above these.  At 1200 shifts it pays from m = 8 (0.010 against
+0.023 ms), below ``SCHUR_MIN_SIZE``; a block smaller than that meets the
+work bound only from 1385 shifts.  Dense SVD and SuperLU + Lanczos cross
+at m = 81 to 91 for d = 1 and near 90 for d = 2, but a CSC block takes one
+LU per shift however many shifts come, so the cutoff stays at 110, where a
+many-shift call still takes Schur.
 """
 
 import functools
@@ -95,7 +104,7 @@ SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-_LANCZOS_CHUNK = 256  # shifts per Lanczos chunk; with no stored basis, memory is O(256 m)
+_LANCZOS_ENTRIES = 2**15  # complex entries per Lanczos vector block, so 2^15 // m shifts a chunk
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
@@ -280,51 +289,106 @@ def _start(m):
     return q0
 
 
+def _ritz_check(a, b):
+    """The top Ritz value theta of each shift's Lanczos tridiagonal, and
+    whether the shift is done.
+
+    ``a`` and ``b`` are (n, shifts) arrays of the alphas and betas, b[-1]
+    being the residual norm beta_n.  A shift is done when a Ritz value within
+    ``_LANCZOS_TOL`` theta of theta has a residual beta_n |s_n| below that,
+    s_n being the last component of its unit Ritz vector (Parlett, The
+    Symmetric Eigenvalue Problem, 1998).  The Ritz values come from
+    ``eigvalsh``, and |s_n| of theta from the bottom-up pivots of
+    theta I - T: delta_n = theta - alpha_n and delta_k = theta - alpha_k -
+    beta_k^2 / delta_{k+1}, with x_n = 1, x_k = x_{k+1} delta_{k+1} / beta_k
+    and |s_n| = 1 / ||x||.  For k >= 2 the pivots are positive, as
+    theta I - T_{k:n} is positive definite (Cauchy interlacing).  A shift
+    whose second Ritz value lies within the tolerance of theta (a ghost
+    pair), or whose pivots are not all positive and finite, takes the Ritz
+    vectors of ``eigh`` instead (``_ritz_check_eigh``), and so does a lone
+    shift, as in the sparse engine's calls, for which one ``eigh`` costs
+    less."""
+    n, s = a.shape
+    tri = np.zeros((s, n * n))  # flattened; stride n + 1 is a diagonal
+    tri[:, ::n + 1] = a.T
+    tri[:, 1::n + 1] = tri[:, n::n + 1] = b[:-1].T
+    tri = tri.reshape(s, n, n)
+    if s == 1:  # a lone shift cannot spread the pivots' per-row calls
+        return _ritz_check_eigh(tri, b[-1])
+    ev = np.linalg.eigvalsh(tri)
+    top = ev[:, -1]
+    tol = _LANCZOS_TOL * top
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = top - a  # row k becomes delta_{k+1}; rows n - 1 down to 1 are needed
+        b2 = b[:-1] ** 2
+        for k in range(n - 2, 0, -1):
+            np.subtract(d[k], np.divide(b2[k], d[k + 1]), out=d[k])
+        # x_{n-1} down to x_1 (x_n = 1); an overflow means |s_n| < 1e-154, read as 0
+        x = np.cumprod(d[:0:-1] / b[-2::-1], axis=0)
+        conv = b[-1] / np.sqrt(1.0 + (x * x).sum(0)) <= tol
+        redo = ~(d[1:] > 0).all(0)  # positive pivots are finite too
+    if n > 1:
+        redo |= top - ev[:, -2] <= tol
+    if redo.any():
+        top[redo], conv[redo] = _ritz_check_eigh(tri[redo], b[-1, redo])
+    return top, conv
+
+
+def _ritz_check_eigh(tri, beta):
+    """``_ritz_check`` from the Ritz vectors: the top Ritz values of the
+    tridiagonals ``tri`` and whether a Ritz value within the tolerance of the
+    top one has a residual ``beta`` |s_n| below it."""
+    ev, vec = np.linalg.eigh(tri)
+    top = ev[:, -1:]
+    tol = _LANCZOS_TOL * top
+    return top[:, 0], ((top - ev <= tol) & (beta[:, None] * np.abs(vec[:, -1]) <= tol)).any(1)
+
+
 def _lanczos(m, count, solve):
     """sigma_min of ``count`` shifted m x m matrices B - z from their solves.
 
     ``solve(q, run)`` returns (B - z)^{-1} (B - z)^{-H} q[:, j] in column j,
-    z being shift run[j].  Lanczos on that operator (top eigenvalue
-    1/sigma_min^2) runs ``_LANCZOS_CHUNK`` shifts at a time as the plain
-    three-term recurrence in Paige's order: no basis is stored or
-    reorthogonalised against, so lost orthogonality only adds ghost copies
-    of converged Ritz values (Paige, Linear Algebra Appl. 34, 1980).  Every
-    ``_LANCZOS_CHECK`` steps, at step m and when w vanishes or overflows, a
-    shift is done if a Ritz value within ``_LANCZOS_TOL`` times the top one
-    has a residual below that, and reports the top one; overflowing solves
-    give 0.  A shift still running after 4 m steps raises
-    NumericalFailureError."""
+    z being shift run[j], in a new array.  Lanczos on that operator (top
+    eigenvalue 1/sigma_min^2) runs max(1, ``_LANCZOS_ENTRIES`` // m) shifts
+    at a time as the plain three-term recurrence in Paige's order, updated
+    in place: no basis is stored or reorthogonalised against, so lost
+    orthogonality only adds ghost copies of converged Ritz values (Paige,
+    Linear Algebra Appl. 34, 1980).  Every ``_LANCZOS_CHECK`` steps, at step
+    m and when w vanishes or overflows, ``_ritz_check`` drops the shifts that
+    are done, which report the top Ritz value; overflowing solves give 0.
+    A shift still running after 4 m steps raises NumericalFailureError."""
     q0 = _start(m)
+    chunk = max(1, _LANCZOS_ENTRIES // m)
     out = np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, count, _LANCZOS_CHUNK):
-            run = np.arange(start, min(start + _LANCZOS_CHUNK, count))  # unfinished shifts
+        for start in range(0, count, chunk):
+            run = np.arange(start, min(start + chunk, count))  # unfinished shifts
             q = np.repeat(q0[:, None], len(run), 1).astype(complex)
-            q_prev = b = 0.0
-            ab = np.zeros((len(run), 4 * m, 2))  # alpha, beta per step, by place in the chunk
+            q_prev, b = np.zeros_like(q), 0.0
+            alpha, beta = [], []  # per step, over the shifts in run
             for n in range(1, 4 * m + 1):  # n steps taken at the end of the body
                 w = solve(q, run)
-                w -= b * q_prev
-                a = ab[run - start, n - 1, 0] = np.einsum("ms,ms->s", q.conj(), w).real
-                w -= a * q
-                b = ab[run - start, n - 1, 1] = np.sqrt((w.conj() * w).real.sum(0))  # the 2-norms
+                q_prev *= b
+                w -= q_prev  # q_prev is scratch from here on
+                a = np.einsum("ms,ms->s", np.conjugate(q, out=q_prev), w).real
+                w -= np.multiply(q, a, out=q_prev)
+                np.multiply(np.conjugate(w, out=q_prev), w, out=q_prev)
+                b = np.sqrt(q_prev.real.sum(0))  # the 2-norms
+                alpha.append(a)
+                beta.append(b)
                 ok = np.isfinite(b)
                 if not (n % _LANCZOS_CHECK and n != m and (ok & (b > 0)).all()):
-                    sub = ab[run[ok] - start, :n]
-                    tri = np.zeros((len(sub), n * n))  # flattened; stride n + 1 is a diagonal
-                    tri[:, ::n + 1] = sub[:, :, 0]
-                    tri[:, 1::n + 1] = tri[:, n::n + 1] = sub[:, :-1, 1]
-                    ev, vec = np.linalg.eigh(tri.reshape(-1, n, n))
-                    top = ev[:, -1:]
-                    tol = _LANCZOS_TOL * top
-                    conv = ((top - ev <= tol) & (b[ok, None] * np.abs(vec[:, -1]) <= tol)).any(1)
-                    out[run[ok][conv]] = 1.0 / np.sqrt(top[conv, 0])
+                    del q_prev  # scratch, freed for the check and the compression
+                    alpha, beta = np.array(alpha), np.array(beta)
+                    top, conv = _ritz_check(alpha[:, ok], beta[:, ok])
+                    out[run[ok][conv]] = 1.0 / np.sqrt(top[conv])
                     keep = ok.copy()
                     keep[ok] = ~conv
                     if not keep.any():
                         break
+                    alpha, beta = list(alpha[:, keep]), list(beta[:, keep])
                     run, q, w, b = run[keep], q[:, keep], w[:, keep], b[keep]
-                q_prev, q = q, w / b
+                q_prev, q = q, np.divide(w, b, out=w)
             else:  # 4 m is a multiple of _LANCZOS_CHECK, so the last step was checked
                 raise NumericalFailureError(f"Lanczos for sigma_min left {len(run)} of {count} "
                                             f"shifts unconverged after {4 * m} steps (m = {m})")
@@ -351,7 +415,7 @@ def _sigma_min_schur(T, zs):
     rows of T vectorised across the shifts.  A shift on a diagonal entry of
     T (an exact zero pivot) gives 0."""
     m = len(T)
-    lower = [T[:i, i].conj() for i in range(m)]  # row i of T^H left of the diagonal
+    lower = [T[:i, i].copy() for i in range(m)]  # row i of T^T left of the diagonal
     upper = [T[i, i + 1:] for i in range(m)]
     diag = np.diag(T)[:, None]
     out = np.zeros(len(zs))
@@ -359,14 +423,13 @@ def _sigma_min_schur(T, zs):
 
     def solve(q, run):
         d = diag - zs[todo[run]]
-        dh = d.conj()
-        y = np.empty_like(q)
+        y = q.conj()  # y = (T - z)^{-H} q from (T - z)^T conj(y) = conj(q)
         for i in range(m):
-            y[i] = (q[i] - lower[i] @ y[:i]) / dh[i]
-        w = np.empty_like(q)
-        for i in range(m - 1, -1, -1):
-            w[i] = (y[i] - upper[i] @ w[i + 1:]) / d[i]
-        return w
+            y[i] = (y[i] - lower[i] @ y[:i]) / d[i]
+        np.conjugate(y, out=y)
+        for i in range(m - 1, -1, -1):  # then (T - z)^{-1} y, in place
+            y[i] = (y[i] - upper[i] @ y[i + 1:]) / d[i]
+        return y
 
     out[todo] = _lanczos(m, len(todo), solve)
     return out

@@ -430,11 +430,12 @@ def test_sigma_min_schur_small_and_degenerate_inputs():
     # solves overflow (both 0), more shifts than one chunk, and no warning
     import warnings
 
-    from dcspec.weyl import _LANCZOS_CHUNK, _sigma_min_schur
+    from dcspec.weyl import _LANCZOS_ENTRIES, _sigma_min_schur
 
     T = np.diag([1.0, 2.0, 3.0 + 1.0j]).astype(complex)
     rng = np.random.default_rng(2)
-    zs = rng.uniform(0, 4, 3 * _LANCZOS_CHUNK) + 1j * rng.uniform(-1, 2, 3 * _LANCZOS_CHUNK)
+    k = 3 * (_LANCZOS_ENTRIES // 3)  # three chunks at m = 3
+    zs = rng.uniform(0, 4, k) + 1j * rng.uniform(-1, 2, k)
     zs[[5, 70]] = 2.0, 3.0 + 1.0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -508,6 +509,105 @@ def test_sigma_min_schur_hard_triangles_against_svd(m):
         want, cond = s[:, -1], s[:, 0] / s[:, -1]
         got = _sigma_min_schur(T, zs)
         assert np.all(np.abs(got - want) <= 3 * m * _U * cond * want)
+
+
+def _eigh_rule(a, b):
+    """The Lanczos check by the full Ritz decomposition, the oracle of
+    ``_ritz_check``: the top Ritz value, and whether a Ritz value within
+    tol = ``_LANCZOS_TOL`` of it has a residual b[-1] |s_n| <= tol."""
+    from dcspec.weyl import _LANCZOS_TOL
+
+    n, s = a.shape
+    i = np.arange(n)
+    tri = np.zeros((s, n, n))
+    tri[:, i, i] = a.T
+    tri[:, i[:-1], i[1:]] = tri[:, i[1:], i[:-1]] = b[:-1].T
+    ev, vec = np.linalg.eigh(tri)
+    top = ev[:, -1:]
+    tol = _LANCZOS_TOL * top
+    return top[:, 0], ((top - ev <= tol) & (b[-1, :, None] * np.abs(vec[:, -1]) <= tol)).any(1)
+
+
+def test_ritz_check_decides_as_the_eigh_rule(monkeypatch):
+    # on every check of the Schur engine, over the hard triangles and the
+    # davies and wedge_model blocks, the pivot recurrence for |s_n| (with its
+    # eigh fallback) accepts exactly the shifts the full Ritz decomposition
+    # accepts, and the top Ritz values agree to 32 u (at most 10 eps seen)
+    from dcspec import weyl
+
+    check, checks = weyl._ritz_check, []
+
+    def spy(a, b):
+        top, conv = check(a, b)
+        want_top, want_conv = _eigh_rule(a, b)
+        np.testing.assert_array_equal(conv, want_conv)
+        assert np.all(np.abs(top - want_top) <= 32 * _U * want_top)
+        checks.append(a.shape[1])
+        return top, conv
+
+    monkeypatch.setattr(weyl, "_ritz_check", spy)
+    rng = np.random.default_rng(3)
+    for m in (2, 5, 12, 41, 64, 110):
+        for T in _hard_triangles(rng, m):
+            ev = np.diag(T)
+            r = np.abs(ev - ev.mean()).max() + 1
+            weyl._sigma_min_schur(T, ev.mean() + r * (rng.uniform(-1.5, 1.5, 100)
+                                                      + 1j * rng.uniform(-1.5, 1.5, 100)))
+    re, im = np.meshgrid(np.linspace(0, 3, 40), np.linspace(-0.5, 2, 30))
+    for q, N, h, zs in [(davies_form(1.0), 100, 0.05, (re + 1j * im).ravel()),
+                        (parse_symbol_spec("wedge_model.json"), 20, 0.1, None)]:
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+        zs = _window(op, 300) if zs is None else zs
+        for i, _ in enumerate(op._sigma_parts):
+            for T in op._schur(i):
+                weyl._sigma_min_schur(T, zs)
+    assert len(checks) > 100 and sum(checks) > 10**4
+
+
+def test_ritz_check_falls_back_on_ghost_pairs_and_bad_pivots(monkeypatch):
+    # hand-built tridiagonals the pivot recurrence cannot settle, each next
+    # to one it can: a ghost pair (top Ritz values 1 + 1e-12 and 1, the
+    # lower one nearly converged and the top one not) and a nearly decoupled
+    # one whose top pivot rounds to 0; only they go to eigh, and every shift
+    # is decided as the full decomposition decides it
+    from dcspec.weyl import _ritz_check
+
+    ghost = ([1.0, 0.0, 1.0 + 1e-12], [1e-9, 1e-9, 1e-5])
+    zero_pivot = ([0.0, 1.0], [1e-20, 1e-12])
+    eigh = np.linalg.eigh
+    for a, b in (ghost, zero_pivot):
+        n = len(a)
+        a = np.column_stack((a, np.arange(1.0, n + 1)))
+        b = np.column_stack((b, np.r_[np.full(n - 1, 0.5), 1e-3]))
+        want_top, want_conv = _eigh_rule(a, b)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda t: calls.append(len(t)) or eigh(t))
+        top, conv = _ritz_check(a, b)
+        monkeypatch.undo()
+        assert calls == [1] and conv[0] and conv.tolist() == want_conv.tolist()
+        assert top[0] == want_top[0] and top[1] == pytest.approx(want_top[1], rel=1e-15)
+
+
+def test_sigma_min_schur_memory_is_a_few_vector_blocks():
+    # davies h 0.05, N 100, block 0 (m = 51) over 4800 shifts: the Lanczos
+    # chunks hold _LANCZOS_ENTRIES complex entries per vector block, and the
+    # whole call peaks below eight such blocks
+    import tracemalloc
+
+    from dcspec.weyl import _LANCZOS_ENTRIES, _sigma_min_schur
+
+    op = dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, 100, 0.05))
+    T = op._schur(0)[0]
+    assert len(T) == 51
+    re, im = np.meshgrid(np.linspace(0, 3, 80), np.linspace(-0.5, 2, 60))
+    zs = (re + 1j * im).ravel()
+    tracemalloc.start()
+    try:
+        _sigma_min_schur(T, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _LANCZOS_ENTRIES * 16
 
 
 def test_sparse_shift_through_stored_diagonal_matches_identity_subtraction():
