@@ -34,12 +34,14 @@ and call from the block size m and the number of shifts k:
   same ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular
   solves per step, batched over the shifts (``_sigma_min_schur``; Lui,
   SIAM J. Sci. Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
-- "dense", any other block: one SVD per shift, stacked over the blocks of
-  one size.
+- "dense", any other block: one SVD call per stack over a chunk of shifts,
+  the blocks of one size stacked, max(1, 2^15 // (count m^2)) shifts a
+  chunk, so the shifted copies hold at most ``_BATCH_ENTRIES`` (2^15)
+  complex entries (``_sigma_min_dense``).
 
 ``_lanczos``, one three-term recurrence with no stored basis, runs
 max(1, 2^15 // m) shifts at a time, so a vector block holds at most
-``_LANCZOS_ENTRIES`` (2^15) complex entries and a call a few such blocks.
+``_BATCH_ENTRIES`` complex entries and a call a few such blocks.
 It accepts a shift when a Ritz value next to the top one, the top value or
 a ghost copy of it, has a small residual, and raises NumericalFailureError
 (exit code 3) after 4 m steps.  The check (``_ritz_check``) takes only the
@@ -49,7 +51,8 @@ the Ritz vectors instead, as does a lone shift (a sparse block's call,
 where one ``eigh`` costs less than the pivots' calls).  It starts every
 shift from one fixed vector, so results are reproducible at a fixed BLAS
 thread count.  In a "dense" or "sparse" part each shift takes the same
-arithmetic as a scalar call.  In a "schur" part it runs alongside the
+arithmetic as a scalar call (the batched SVD makes the LAPACK call of one
+matrix for each matrix).  In a "schur" part it runs alongside the
 call's other shifts, so an array call matches scalar calls to rounding (a
 few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable sigma_min does),
 not bit for bit.  Either way, sigma_min below 1e-14 ||M||_F (an exactly
@@ -63,9 +66,12 @@ included.  The Schur engine beats per-shift SVDs on davies blocks
 (h = 0.05, shifts over 0..3 x -0.5..2) from 96 to 128 shifts at m = 20,
 from 48 to 64 at m = 41, 51 and 61 (at m = 51 and 64 shifts, 0.16 against
 0.20 ms) and from about 32 at m = 110, and on wedge (h = 0.1, m = 66) from
-32 to 48: k m^2 = 5e5 (1250 shifts at m = 20, 193 at 51, 42 at 110) sits at
-or above these.  At 1200 shifts it pays from m = 8 (0.010 against
-0.023 ms), below ``SCHUR_MIN_SIZE``; a block smaller than that meets the
+32 to 48.  Against the dense engine's batched SVDs it wins from 128 to 192 shifts
+at m = 20, from 48 to 64 at m = 51 and from 40 at m = 110 (same blocks,
+medians of 7 to 9 interleaved runs).  k m^2 = 5e5 (1250 shifts at m = 20,
+193 at 51, 42 at 110) sits at or above all of these.  At 1200 shifts it pays
+from m = 8 (0.010 against 0.023 ms per-shift, 0.014 against 0.017 ms
+batched), below ``SCHUR_MIN_SIZE``; a block smaller than that meets the
 work bound only from 1385 shifts.  Dense SVD and SuperLU + Lanczos cross
 at m = 81 to 91 for d = 1 and near 90 for d = 2, but a CSC block takes one
 LU per shift however many shifts come, so the cutoff stays at 110, where a
@@ -74,7 +80,7 @@ many-shift call still takes Schur.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -104,7 +110,9 @@ SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-_LANCZOS_ENTRIES = 2**15  # complex entries per Lanczos vector block, so 2^15 // m shifts a chunk
+# complex entries per Lanczos vector block or stack of shifted SVD copies,
+# which sets the shifts a chunk: 2^15 // m and 2^15 // (count m^2)
+_BATCH_ENTRIES = 2**15
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
@@ -147,10 +155,16 @@ class HermiteTruncation:
 
 @dataclass(frozen=True)
 class TruncatedWeylOperator:
-    """Galerkin matrix of a Weyl operator as a scipy sparse CSC matrix."""
+    """Galerkin matrix of a Weyl operator as a scipy sparse CSC matrix.
+
+    ``_sigma_memo``, when not None, is a dict shared by truncations of one
+    symbol at one h (``probe_theorem``): ``resolvent_norm`` keeps each
+    block's sigma_min array there under (basis indices, shifts) and does not
+    recompute a block it finds."""
 
     trunc: HermiteTruncation
     matrix: sp.csc_matrix = field(repr=False)
+    _sigma_memo: dict | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def blocks(self):
@@ -192,16 +206,17 @@ class TruncatedWeylOperator:
 
     @cached_property
     def _sigma_parts(self):
-        """The parts ``resolvent_norm`` takes sigma_min over: the dense
-        ``blocks`` of each size stacked into one (count, m, m) array, then the
-        sparse ones."""
+        """The parts ``resolvent_norm`` takes sigma_min over, as (keys, part)
+        pairs: the dense ``blocks`` of each size stacked into one (count, m, m)
+        array, then the sparse ones, each with its blocks' basis indices as
+        bytes, which with the shifts key ``_sigma_memo``."""
         stacks, sparse = {}, []
-        for _, b in self.blocks:
+        for idx, b in self.blocks:
             if sp.issparse(b):
-                sparse.append(b)
+                sparse.append(([idx.tobytes()], b))
             else:
-                stacks.setdefault(len(b), []).append(b)
-        return [np.stack(g) for g in stacks.values()] + sparse
+                stacks.setdefault(len(b), []).append((idx.tobytes(), b))
+        return [([k for k, _ in g], np.stack([b for _, b in g])) for g in stacks.values()] + sparse
 
     @cached_property
     def _schur_forms(self):
@@ -215,7 +230,7 @@ class TruncatedWeylOperator:
         import scipy.linalg as sla
 
         if i not in self._schur_forms:
-            self._schur_forms[i] = [sla.schur(b, output="complex")[0] for b in self._sigma_parts[i]]
+            self._schur_forms[i] = [sla.schur(b, output="complex")[0] for b in self._sigma_parts[i][1]]
         return self._schur_forms[i]
 
 
@@ -349,7 +364,7 @@ def _lanczos(m, count, solve):
 
     ``solve(q, run)`` returns (B - z)^{-1} (B - z)^{-H} q[:, j] in column j,
     z being shift run[j], in a new array.  Lanczos on that operator (top
-    eigenvalue 1/sigma_min^2) runs max(1, ``_LANCZOS_ENTRIES`` // m) shifts
+    eigenvalue 1/sigma_min^2) runs max(1, ``_BATCH_ENTRIES`` // m) shifts
     at a time as the plain three-term recurrence in Paige's order, updated
     in place: no basis is stored or reorthogonalised against, so lost
     orthogonality only adds ghost copies of converged Ritz values (Paige,
@@ -358,7 +373,7 @@ def _lanczos(m, count, solve):
     are done, which report the top Ritz value; overflowing solves give 0.
     A shift still running after 4 m steps raises NumericalFailureError."""
     q0 = _start(m)
-    chunk = max(1, _LANCZOS_ENTRIES // m)
+    chunk = max(1, _BATCH_ENTRIES // m)
     out = np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, chunk):
@@ -420,9 +435,13 @@ def _sigma_min_schur(T, zs):
     diag = np.diag(T)[:, None]
     out = np.zeros(len(zs))
     todo = np.flatnonzero((diag != zs).all(0))
+    shifted = [None, None]  # run, and diag - z over it: built again only for a new run
 
     def solve(q, run):
-        d = diag - zs[todo[run]]
+        if shifted[0] is not run:
+            shifted[1] = None  # free the old block before making the new one
+            shifted[:] = run, diag - zs[todo[run]]
+        d = shifted[1]
         y = q.conj()  # y = (T - z)^{-H} q from (T - z)^T conj(y) = conj(q)
         for i in range(m):
             y[i] = (y[i] - lower[i] @ y[:i]) / d[i]
@@ -432,6 +451,25 @@ def _sigma_min_schur(T, zs):
         return y
 
     out[todo] = _lanczos(m, len(todo), solve)
+    return out
+
+
+def _sigma_min_dense(stack, zs, per_block):
+    """sigma_min(B - z) of the blocks B of a (count, m, m) stack for a 1-D
+    array of shifts: one SVD call over the stack per chunk of
+    max(1, ``_BATCH_ENTRIES`` // (count m^2)) shifts, so a chunk's shifted
+    copies hold at most ``_BATCH_ENTRIES`` entries.  Each matrix takes the
+    LAPACK call a lone shift would.  Returns the smallest value over the
+    stack per shift, or with ``per_block`` each block's values as a
+    (count, shifts) array."""
+    count, m, _ = stack.shape
+    chunk = max(1, _BATCH_ENTRIES // (count * m * m))
+    eye = np.eye(m)
+    out = np.empty((count, len(zs)) if per_block else len(zs))
+    for start in range(0, len(zs), chunk):
+        zc = zs[start:start + chunk, None, None, None]
+        s = np.linalg.svd(stack - zc * eye, compute_uv=False)[..., -1]
+        out[..., start:start + chunk] = s.T if per_block else s.min(1)
     return out
 
 
@@ -452,32 +490,53 @@ def resolvent_norm(op, z):
     ``z`` is a complex scalar or array: a 0-d input gives a float, an array
     an array of its shape.  Each shift takes the smallest sigma_min over
     ``op._sigma_parts``, each part by the engine ``_engine`` picks for it
-    and the number of shifts.  Returns ``inf`` (the infinity signal) where
-    sigma_min falls below 1e-14 * ||M||_F, i.e. where z is numerically an
-    eigenvalue.  A non-finite z raises DomainError.
+    and the number of shifts; a block already in the operator's
+    ``_sigma_memo`` (``probe_theorem``) is taken from there.  Returns ``inf``
+    (the infinity signal) where sigma_min falls below 1e-14 * ||M||_F, i.e.
+    where z is numerically an eigenvalue.  A non-finite z raises DomainError.
     """
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise DomainError(f"z must be finite, got {z[~np.isfinite(z)].flat[0]}")
-    zs = z.ravel()
     floor = INFINITY_SIGMA_RTOL * max(float(np.linalg.norm(op.matrix.data)), 1e-300)
+    smin = _sigma_min(op, z.ravel())
+    out = np.array([math.inf if s < floor else 1.0 / s for s in smin.tolist()]).reshape(z.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _sigma_min(op, zs):
+    """The smallest sigma_min(B - z) over ``op.blocks`` for a 1-D array of
+    shifts.  A block whose key is in ``op._sigma_memo`` takes the stored
+    array; the other blocks of its part are computed, by the engine
+    ``_engine`` picks for them, and stored when the operator has a memo."""
+    keep = op._sigma_memo is not None
+    memo = op._sigma_memo if keep else {}
+    tag = zs.tobytes()
     smin = np.full(zs.shape, np.inf)
-    for i, part in enumerate(op._sigma_parts):
+    for i, (keys, part) in enumerate(op._sigma_parts):
+        keys = [(k, tag) for k in keys]
+        for k in keys:
+            if k in memo:
+                np.minimum(smin, memo[k], out=smin)
+        new = [r for r, k in enumerate(keys) if k not in memo]
+        if not new:
+            continue
+        if len(new) < len(keys):  # a dense stack; a sparse part is one block
+            part = part[new]
         engine = _engine(part, zs.size)
         if engine == "schur":
-            s = np.min([_sigma_min_schur(T, zs) for T in op._schur(i)], axis=0)
+            s = np.array([_sigma_min_schur(op._schur(i)[r], zs) for r in new])
         elif engine == "sparse":  # z moves only the stored diagonal (``blocks``)
             data, rows, ptr = part.data, part.indices, part.indptr
             diag = rows == np.repeat(np.arange(part.shape[0]), np.diff(ptr))
-            s = [_sigma_min_sparse(sp.csc_matrix((np.where(diag, data - zi, data), rows, ptr),
-                                                 shape=part.shape)) for zi in zs.tolist()]
-        else:  # one SVD call per shift over the whole stack
-            eye = np.eye(part.shape[-1])
-            s = [np.linalg.svd(part - zi * eye, compute_uv=False)[:, -1].min()
-                 for zi in zs.tolist()]
-        smin = np.minimum(smin, s)
-    out = np.array([math.inf if s < floor else 1.0 / s for s in smin.tolist()]).reshape(z.shape)
-    return float(out) if out.ndim == 0 else out
+            s = np.array([[_sigma_min_sparse(sp.csc_matrix((np.where(diag, data - zi, data), rows, ptr),
+                                                           shape=part.shape)) for zi in zs.tolist()]])
+        else:
+            s = _sigma_min_dense(part, zs, per_block=keep)
+        if keep:
+            memo.update(zip([keys[r] for r in new], s))
+        np.minimum(smin, s if s.ndim == 1 else s.min(0), out=smin)
+    return smin
 
 
 def pseudospectrum_grid(op, window, resolution):
@@ -541,6 +600,16 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
     PROBE_CONVERGE_RTOL, for at most PROBE_MAX_ROUNDS increases; the
     returned rows use the finer level.  The fit is the least-squares slope
     of log norm against log(1/h).
+
+    The levels at one h are Galerkin matrices of one symbol on nested graded
+    bases, so the coarser matrix is the leading submatrix of the finer one,
+    and a block of the finer operator whose basis indices all lie in the
+    coarser basis is a block of the coarser one with the same entries (all
+    N + 1 degree shells of kfp at degree N reappear at N + 10).  The levels
+    share a ``_sigma_memo``, so such a block's sigma_min is computed once,
+    with the bits a fresh call gives; each level applies its own infinity
+    floor.  A symbol whose blocks straddle the coarser basis (davies,
+    wedge_model) shares none.
     """
     if samples < 1 or seed < 0:
         raise DomainError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
@@ -553,12 +622,15 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
         region = RegionSpec(h=h, C0=C0, C1=C1, dim=q.dim, inner_radius=inner_mult * h)
         zs = sample_admissible(region, spec, samples, rng)
         degree = suggested_degree(region.outer_radius, h, q.dim, safety=safety)
-        op = quantize_quadratic(q, HermiteTruncation(q.dim, degree, h))
-        norms = resolvent_norm(op, zs)
+        memo = {}
+
+        def level(n):
+            return replace(quantize_quadratic(q, HermiteTruncation(q.dim, n, h)), _sigma_memo=memo)
+
+        norms = resolvent_norm(level(degree), zs)
         for _ in range(PROBE_MAX_ROUNDS):
             finer = degree + 10
-            op_f = quantize_quadratic(q, HermiteTruncation(q.dim, finer, h))
-            norms_f = resolvent_norm(op_f, zs)
+            norms_f = resolvent_norm(level(finer), zs)
             ok = np.isfinite(norms) & np.isfinite(norms_f)
             rel = math.inf if not ok.any() else float(
                 np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))

@@ -813,7 +813,7 @@ def test_cli_probe_theorem_deterministic(tmp_path, capsys):
 
 
 def test_cli_probe_theorem_byte_identical_across_processes(tmp_path):
-    # the per-shift SVDs of kfp's degree shells (n >= 325 here) are
+    # the batched SVDs of kfp's degree shells (n >= 325 here) are
     # reproducible across processes
     def make_args(out_dir):
         csv_path = out_dir / "probe.csv"

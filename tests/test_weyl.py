@@ -400,7 +400,7 @@ def test_resolvent_norm_array_at_schur_threshold_matches_scalar_calls():
     rng = np.random.default_rng(4)
     zs = np.concatenate((eigs, rng.uniform(0, 3, 197) + 1j * rng.uniform(-0.5, 2, 197)))
     assert len(zs) * 50**2 >= SCHUR_MIN_WORK > (len(zs) - 1) * 50**2
-    assert all(_engine(part, len(zs)) == "schur" for part in op._sigma_parts)
+    assert all(_engine(part, len(zs)) == "schur" for _, part in op._sigma_parts)
     got = dc.resolvent_norm(op, zs)
     want = np.array([dc.resolvent_norm(op, z) for z in zs.tolist()])
     assert np.isinf(got[:3]).all() and np.isinf(want[:3]).all()
@@ -410,7 +410,7 @@ def test_resolvent_norm_array_at_schur_threshold_matches_scalar_calls():
 
 def test_engine_rule():
     # probe-theorem calls (10 or 20 shifts, kfp shells of size <= 37) stay on
-    # per-shift SVDs; the benchmark's pseudospectrum (1200 shifts, blocks 45
+    # batched SVDs; the benchmark's pseudospectrum (1200 shifts, blocks 45
     # to 51) takes the Schur engine; blocks above the cutoff stay sparse
     from dcspec.weyl import DENSE_SVD_CUTOFF, SCHUR_MIN_SIZE, _engine
 
@@ -430,11 +430,11 @@ def test_sigma_min_schur_small_and_degenerate_inputs():
     # solves overflow (both 0), more shifts than one chunk, and no warning
     import warnings
 
-    from dcspec.weyl import _LANCZOS_ENTRIES, _sigma_min_schur
+    from dcspec.weyl import _BATCH_ENTRIES, _sigma_min_schur
 
     T = np.diag([1.0, 2.0, 3.0 + 1.0j]).astype(complex)
     rng = np.random.default_rng(2)
-    k = 3 * (_LANCZOS_ENTRIES // 3)  # three chunks at m = 3
+    k = 3 * (_BATCH_ENTRIES // 3)  # three chunks at m = 3
     zs = rng.uniform(0, 4, k) + 1j * rng.uniform(-1, 2, k)
     zs[[5, 70]] = 2.0, 3.0 + 1.0j
     with warnings.catch_warnings():
@@ -590,11 +590,11 @@ def test_ritz_check_falls_back_on_ghost_pairs_and_bad_pivots(monkeypatch):
 
 def test_sigma_min_schur_memory_is_a_few_vector_blocks():
     # davies h 0.05, N 100, block 0 (m = 51) over 4800 shifts: the Lanczos
-    # chunks hold _LANCZOS_ENTRIES complex entries per vector block, and the
+    # chunks hold _BATCH_ENTRIES complex entries per vector block, and the
     # whole call peaks below eight such blocks
     import tracemalloc
 
-    from dcspec.weyl import _LANCZOS_ENTRIES, _sigma_min_schur
+    from dcspec.weyl import _BATCH_ENTRIES, _sigma_min_schur
 
     op = dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, 100, 0.05))
     T = op._schur(0)[0]
@@ -607,7 +607,121 @@ def test_sigma_min_schur_memory_is_a_few_vector_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * _LANCZOS_ENTRIES * 16
+    assert peak <= 8 * _BATCH_ENTRIES * 16
+
+
+def test_dense_engine_array_equals_scalar_calls_across_chunks():
+    # wedge_model N = 20 (blocks 66, 55, 55, 55): 40 shifts stay on the
+    # dense engine and span 14 chunks of the 55-stack (3 shifts each) and 6
+    # of the 66-block (7 each); every value equals the per-block SVD of one
+    # shifted matrix and the scalar calls, bit for bit, and eigenvalue
+    # shifts give the infinity signal
+    from dcspec.weyl import _BATCH_ENTRIES, _engine, _sigma_min_dense
+
+    op, eigs = _engine_op("dense")
+    rng = np.random.default_rng(8)
+    zs = np.array(eigs + list(rng.uniform(-1, 6, 37) + 1j * rng.uniform(-3, 3, 37)))
+    parts = [part for _, part in op._sigma_parts]
+    assert [p.shape[:2] for p in parts] == [(1, 66), (3, 55)]
+    assert all(_engine(p, len(zs)) == "dense" for p in parts)
+    assert _BATCH_ENTRIES // (3 * 55**2) == 3
+    for p in parts:
+        each = _sigma_min_dense(p, zs, per_block=True)
+        want = [[np.linalg.svd(b - z * np.eye(len(b)), compute_uv=False)[-1] for z in zs.tolist()]
+                for b in p]
+        assert each.tolist() == want
+        assert _sigma_min_dense(p, zs, per_block=False).tolist() == each.min(0).tolist()
+    got = dc.resolvent_norm(op, zs)
+    assert got.tolist() == [dc.resolvent_norm(op, z) for z in zs.tolist()]
+    assert np.isinf(got[:3]).all() and np.isfinite(got[3:]).all()
+    for shape in [(0,), (3, 0)]:
+        empty = dc.resolvent_norm(op, np.zeros(shape, complex))
+        assert isinstance(empty, np.ndarray) and empty.shape == shape
+
+
+def test_dense_engine_memory_is_a_few_batches():
+    # the harmonic oscillator, d = 1, N = 255: one stack of 256 blocks of
+    # size 1, so a chunk is 128 shifts; 5000 shifts in one call (20 MB of
+    # shifted copies unchunked) peak at a few _BATCH_ENTRIES complex entries
+    import tracemalloc
+
+    from dcspec.weyl import _BATCH_ENTRIES
+
+    op = dc.quantize_quadratic(harmonic_form(1), dc.HermiteTruncation(1, 255, 0.1))
+    (_, part), = op._sigma_parts
+    assert part.shape == (256, 1, 1)
+    zs = np.random.default_rng(9).uniform(0, 60, 5000) + 0.5j
+    want = dc.resolvent_norm(op, zs[:300])
+    tracemalloc.start()
+    try:
+        got = dc.resolvent_norm(op, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got[:300].tolist() == want.tolist()
+    assert peak <= 4 * _BATCH_ENTRIES * 16
+
+
+def _probe_levels(q, monkeypatch):
+    """probe_theorem's rows, and each resolvent_norm call it makes as
+    [h, degree, shifts, norms, sizes of the blocks the engines computed,
+    number of blocks]."""
+    from dcspec import weyl
+
+    levels = []
+    norm, engine = weyl.resolvent_norm, weyl._engine
+
+    def spy_norm(op, z):
+        levels.append([op.trunc.h, op.trunc.degree, np.array(z), None, [], len(op.blocks)])
+        levels[-1][3] = norm(op, z)
+        return levels[-1][3]
+
+    def spy_engine(part, shifts):
+        count, m = (1, part.shape[0]) if sp.issparse(part) else part.shape[:2]
+        levels[-1][4].extend([m] * count)
+        return engine(part, shifts)
+
+    monkeypatch.setattr(weyl, "resolvent_norm", spy_norm)
+    monkeypatch.setattr(weyl, "_engine", spy_engine)
+    rows, *_ = dc.probe_theorem(q, [0.2, 0.1], 0.15, 10.0, samples=5, seed=0)
+    monkeypatch.undo()
+    return rows, levels
+
+
+def _assert_levels_match_fresh_calls(q, rows, levels):
+    # every level equals a fresh call on an operator with no memo, and the
+    # rows carry each h's last level
+    for h, degree, zs, norms, _, _ in levels:
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, degree, h))
+        assert norms.tolist() == dc.resolvent_norm(op, zs).tolist()
+    for h in {lv[0] for lv in levels}:
+        last = [lv for lv in levels if lv[0] == h][-1]
+        assert [r[2] for r in rows if r[0] == h] == last[3].tolist()
+
+
+def test_probe_theorem_reuses_kfp_shells(kfp, monkeypatch):
+    # kfp splits into degree shells, and shell j is the same matrix at every
+    # degree >= j: a finer level computes only its 10 new shells (sizes
+    # N + 2 to N + 11 after degree N), and its norms keep their bits
+    rows, levels = _probe_levels(kfp, monkeypatch)
+    assert len(levels) >= 4
+    prev = {}
+    for h, degree, _, _, computed, nblocks in levels:
+        assert nblocks == degree + 1
+        start = prev.get(h, -1) + 1  # the first level at an h computes every shell
+        assert sorted(computed) == list(range(start + 1, degree + 2))
+        prev[h] = degree
+    _assert_levels_match_fresh_calls(kfp, rows, levels)
+
+
+def test_probe_theorem_recomputes_straddling_blocks(davies, monkeypatch):
+    # davies's parity blocks at degree N + 10 reach past the degree-N basis,
+    # so no block is shared: every level computes all of its blocks
+    rows, levels = _probe_levels(davies, monkeypatch)
+    assert len(levels) >= 4
+    for _, _, _, _, computed, nblocks in levels:
+        assert len(computed) == nblocks == 2
+    _assert_levels_match_fresh_calls(davies, rows, levels)
 
 
 def test_sparse_shift_through_stored_diagonal_matches_identity_subtraction():
