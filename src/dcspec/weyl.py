@@ -24,20 +24,19 @@ value over ``TruncatedWeylOperator._sigma_parts``: the dense blocks stacked
 by size, then the sparse ones.  ``_engine``, the one rule, picks per part
 and call from the block size m and the number of shifts k:
 
-- "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): B - z, made by
-  moving B's stored diagonal, is factored with SuperLU per shift, and
-  ``_lanczos`` runs on (B - z)^{-1} (B - z)^{-H}, whose largest eigenvalue
-  is 1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).
+- "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): each shift's
+  B - z (B's stored diagonal moved) is factored with SuperLU, and groups of
+  shifts whose factors hold about ``_BATCH_ENTRIES`` entries (at least one
+  factor) run ``_lanczos`` on (B - z)^{-1} (B - z)^{-H}, top eigenvalue
+  1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).
 - "schur", blocks of size m >= ``SCHUR_MIN_SIZE`` (20) when k m^2 >=
   ``SCHUR_MIN_WORK`` (5e5): one complex Schur form B = Q T Q^H per block,
-  kept with the operator, so sigma_min(B - z) = sigma_min(T - z); then the
-  same ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular
-  solves per step, batched over the shifts (``_sigma_min_schur``; Lui,
-  SIAM J. Sci. Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
-- "dense", any other block: one SVD call per stack over a chunk of shifts,
-  the blocks of one size stacked, max(1, 2^15 // (count m^2)) shifts a
-  chunk, so the shifted copies hold at most ``_BATCH_ENTRIES`` (2^15)
-  complex entries (``_sigma_min_dense``).
+  so sigma_min(B - z) = sigma_min(T - z); then the same ``_lanczos`` on
+  (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular solves per step,
+  batched over the shifts (``_sigma_min_schur``; Lui, SIAM J. Sci.
+  Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
+- "dense", any other block: the blocks of one size stacked, one SVD call
+  per stack and chunk of shifts (``_sigma_min_dense``).
 
 ``_lanczos``, one three-term recurrence with no stored basis, runs
 max(1, 2^15 // m) shifts at a time, so a vector block holds at most
@@ -47,15 +46,15 @@ a ghost copy of it, has a small residual, and raises NumericalFailureError
 (exit code 3) after 4 m steps.  The check (``_ritz_check``) takes only the
 Ritz values, and the residual of the top one from a pivot recurrence; a
 shift with a ghost pair or a pivot that is not positive and finite takes
-the Ritz vectors instead, as does a lone shift (a sparse block's call,
-where one ``eigh`` costs less than the pivots' calls).  It starts every
-shift from one fixed vector, so results are reproducible at a fixed BLAS
-thread count.  In a "dense" or "sparse" part each shift takes the same
-arithmetic as a scalar call (the batched SVD makes the LAPACK call of one
-matrix for each matrix).  In a "schur" part it runs alongside the
-call's other shifts, so an array call matches scalar calls to rounding (a
-few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable sigma_min does),
-not bit for bit.  Either way, sigma_min below 1e-14 ||M||_F (an exactly
+the Ritz vectors instead, as does a lone shift, for which one ``eigh``
+costs less than the pivots' calls.  It starts every shift from one fixed
+vector, so results are reproducible at a fixed BLAS thread count.  Each
+engine takes a part and all of the call's shifts.  The "dense" one gives
+each matrix the LAPACK call of a scalar call, so an array call matches
+scalar calls bit for bit; in the two Lanczos engines a shift runs
+alongside the call's other shifts, so an array call matches them to
+rounding (a few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable
+sigma_min does).  Either way, sigma_min below 1e-14 ||M||_F (an exactly
 singular LU factor or a zero pivot of T - z included) is reported as an
 infinite norm, the infinity signal.  Spectra use a dense eigensolver on
 each block.
@@ -73,9 +72,9 @@ medians of 7 to 9 interleaved runs).  k m^2 = 5e5 (1250 shifts at m = 20,
 from m = 8 (0.010 against 0.023 ms per-shift, 0.014 against 0.017 ms
 batched), below ``SCHUR_MIN_SIZE``; a block smaller than that meets the
 work bound only from 1385 shifts.  Dense SVD and SuperLU + Lanczos cross
-at m = 81 to 91 for d = 1 and near 90 for d = 2, but a CSC block takes one
-LU per shift however many shifts come, so the cutoff stays at 110, where a
-many-shift call still takes Schur.
+at m = 81 to 91 (d = 1) and near 90 (d = 2); at 240 shifts the Schur
+engine on a densified block beats batched SuperLU up to m = 151 (0.68
+against 0.76 ms per shift; family_beta m = 144: 0.69 against 1.84 ms).
 """
 
 import functools
@@ -111,7 +110,7 @@ INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
 # complex entries per Lanczos vector block or stack of shifted SVD copies,
-# which sets the shifts a chunk: 2^15 // m and 2^15 // (count m^2)
+# and stored entries per group of SuperLU factors, which set the shifts a chunk
 _BATCH_ENTRIES = 2**15
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
@@ -218,21 +217,6 @@ class TruncatedWeylOperator:
                 stacks.setdefault(len(b), []).append((idx.tobytes(), b))
         return [([k for k, _ in g], np.stack([b for _, b in g])) for g in stacks.values()] + sparse
 
-    @cached_property
-    def _schur_forms(self):
-        """The filled entries of ``_schur``, by stack."""
-        return {}
-
-    def _schur(self, i):
-        """Complex Schur factors T of the blocks of dense stack i of
-        ``_sigma_parts``, so that sigma_min(B - z) = sigma_min(T - z);
-        computed on first use and kept."""
-        import scipy.linalg as sla
-
-        if i not in self._schur_forms:
-            self._schur_forms[i] = [sla.schur(b, output="complex")[0] for b in self._sigma_parts[i][1]]
-        return self._schur_forms[i]
-
 
 def quantize_quadratic(q, trunc):
     """Galerkin matrix of the Weyl operator of a quadratic symbol.
@@ -321,8 +305,7 @@ def _ritz_check(a, b):
     whose second Ritz value lies within the tolerance of theta (a ghost
     pair), or whose pivots are not all positive and finite, takes the Ritz
     vectors of ``eigh`` instead (``_ritz_check_eigh``), and so does a lone
-    shift, as in the sparse engine's calls, for which one ``eigh`` costs
-    less."""
+    shift, for which one ``eigh`` costs less."""
     n, s = a.shape
     tri = np.zeros((s, n * n))  # flattened; stride n + 1 is a diagonal
     tri[:, ::n + 1] = a.T
@@ -410,25 +393,45 @@ def _lanczos(m, count, solve):
     return out
 
 
-def _sigma_min_sparse(B):
-    """sigma_min of a sparse square B: ``_lanczos`` on B^{-1} B^{-H}, two
-    solves of one SuperLU factor per step.  An exactly singular factor gives 0."""
+def _sigma_min_sparse(B, zs):
+    """sigma_min(B - z) of a CSC block B that stores its whole diagonal, for
+    a 1-D array of shifts: the "sparse" engine of the module docstring, a
+    group's fill being SuperLU's ``nnz``.  An exactly singular factor gives 0."""
     import scipy.sparse.linalg as spla
 
-    try:
-        lu = spla.splu(B)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        if "singular" not in str(exc):
-            raise NumericalFailureError(f"SuperLU for sigma_min failed: {exc}") from exc
-        return 0.0
-    return float(_lanczos(B.shape[0], 1, lambda q, run: lu.solve(lu.solve(q, trans="H")))[0])
+    m = B.shape[0]
+    data, rows, ptr = B.data, B.indices, B.indptr
+    diag = rows == np.repeat(np.arange(m), np.diff(ptr))
+    out = np.zeros(len(zs))
+    idx, lus, fill = [], [], 0  # a group not yet run: its shifts, their factors and entries
+
+    def solve(q, run):
+        w = [lus[r].solve(lus[r].solve(q[:, j:j + 1], trans="H")) for j, r in enumerate(run.tolist())]
+        return w[0] if len(w) == 1 else np.concatenate(w, axis=1)  # a scalar call skips the copy
+
+    for i, z in enumerate(zs.tolist()):
+        try:  # only lus holds a factor, so the factors are freed with their group
+            lus.append(spla.splu(sp.csc_matrix((np.where(diag, data - z, data), rows, ptr), shape=B.shape)))
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            if "singular" not in str(exc):
+                raise NumericalFailureError(f"SuperLU for sigma_min failed: {exc}") from exc
+        else:
+            idx.append(i)
+            fill += lus[-1].nnz
+        if idx and (fill >= _BATCH_ENTRIES or i == len(zs) - 1):
+            out[idx] = _lanczos(m, len(idx), solve)
+            idx, lus, fill = [], [], 0
+    return out
 
 
-def _sigma_min_schur(T, zs):
-    """sigma_min(T - z) of an upper triangular T for a 1-D array of shifts:
-    ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, each solve two loops over the
-    rows of T vectorised across the shifts.  A shift on a diagonal entry of
-    T (an exact zero pivot) gives 0."""
+def _sigma_min_schur(B, zs):
+    """sigma_min(B - z) of a dense block B for a 1-D array of shifts:
+    ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, T being B's complex Schur
+    factor, each solve two loops over the rows of T vectorised across the
+    shifts.  A shift on a diagonal entry of T (an exact zero pivot) gives 0."""
+    import scipy.linalg as sla
+
+    T = sla.schur(B, output="complex")[0]
     m = len(T)
     lower = [T[:i, i].copy() for i in range(m)]  # row i of T^T left of the diagonal
     upper = [T[i, i + 1:] for i in range(m)]
@@ -513,7 +516,7 @@ def _sigma_min(op, zs):
     memo = op._sigma_memo if keep else {}
     tag = zs.tobytes()
     smin = np.full(zs.shape, np.inf)
-    for i, (keys, part) in enumerate(op._sigma_parts):
+    for keys, part in op._sigma_parts:
         keys = [(k, tag) for k in keys]
         for k in keys:
             if k in memo:
@@ -525,12 +528,9 @@ def _sigma_min(op, zs):
             part = part[new]
         engine = _engine(part, zs.size)
         if engine == "schur":
-            s = np.array([_sigma_min_schur(op._schur(i)[r], zs) for r in new])
-        elif engine == "sparse":  # z moves only the stored diagonal (``blocks``)
-            data, rows, ptr = part.data, part.indices, part.indptr
-            diag = rows == np.repeat(np.arange(part.shape[0]), np.diff(ptr))
-            s = np.array([[_sigma_min_sparse(sp.csc_matrix((np.where(diag, data - zi, data), rows, ptr),
-                                                           shape=part.shape)) for zi in zs.tolist()]])
+            s = np.array([_sigma_min_schur(b, zs) for b in part])
+        elif engine == "sparse":
+            s = _sigma_min_sparse(part, zs)[None]
         else:
             s = _sigma_min_dense(part, zs, per_block=keep)
         if keep:

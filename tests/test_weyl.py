@@ -295,8 +295,10 @@ _SHAPES = st.sampled_from([(), (0,), (1,), (4,), (2, 3), (3, 0)])
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_resolvent_norm_array_equals_scalar_calls(engine, data):
-    # an array of shifts gives exactly the per-shift scalar values, in
-    # z's shape; a shift on an eigenvalue gives the infinity signal
+    # an array of shifts gives the per-shift scalar values, in z's shape:
+    # exactly on the dense engine, within m u ||B - z|| ||(B - z)^{-1}|| on
+    # the sparse one, whose Lanczos runs the call's shifts together; a
+    # shift on an eigenvalue gives the infinity signal
     op, eigs = _engine_op(engine)
     shift = st.sampled_from(eigs) | st.complex_numbers(
         max_magnitude=6, allow_nan=False, allow_infinity=False
@@ -308,7 +310,15 @@ def test_resolvent_norm_array_equals_scalar_calls(engine, data):
     else:
         assert isinstance(got, np.ndarray) and got.shape == zs.shape
     want = [dc.resolvent_norm(op, z) for z in zs.ravel().tolist()]
-    assert np.ravel(got).tolist() == want
+    if engine == "dense":
+        assert np.ravel(got).tolist() == want
+    else:
+        got, want = np.ravel(got), np.array(want)
+        fin = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), fin)
+        _, cond = _block_svd_norms(op, zs.ravel()[fin])
+        m = max(len(idx) for idx, _ in op.blocks)
+        assert np.all(np.abs(got[fin] - want[fin]) <= m * _U * cond * want[fin])
     assert np.isinf(np.ravel(got)[np.isin(zs.ravel(), eigs)]).all()
 
 
@@ -336,29 +346,31 @@ def _window(op, count):
 
 
 @pytest.mark.parametrize(
-    "q, N, h",
+    "q, N, h, shifts, engine",
     [
-        (davies_form(1.0), 100, 0.05),  # parity blocks 51 and 50
-        (parse_symbol_spec("wedge_model.json"), 20, 0.1),  # blocks 66, 55, 55, 55
-        ("random-d2", 12, 0.3),  # parity blocks 49 and 42
+        (davies_form(1.0), 100, 0.05, 300, "schur"),  # parity blocks 51 and 50
+        (parse_symbol_spec("wedge_model.json"), 20, 0.1, 300, "schur"),  # blocks 66, 55, 55, 55
+        ("random-d2", 12, 0.3, 300, "schur"),  # parity blocks 49 and 42
+        (davies_form(1.0), 300, 0.05, 240, "sparse"),  # parity blocks 151 and 150
     ],
-    ids=["davies", "wedge", "random-d2"],
+    ids=["davies", "wedge", "random-d2", "davies-sparse"],
 )
-def test_schur_engine_matches_block_svds(q, N, h):
-    # sigma_min from the Schur engine against dense SVDs of the blocks,
-    # within m u ||B - z|| ||(B - z)^{-1}||: both are backward stable, so
-    # neither resolves a norm more finely than that
+def test_schur_engine_matches_block_svds(q, N, h, shifts, engine):
+    # sigma_min from the Schur engine, and from batched SuperLU + Lanczos
+    # above the dense cutoff, against dense SVDs of the blocks, within
+    # m u ||B - z|| ||(B - z)^{-1}||: all are backward stable, so none
+    # resolves a norm more finely than that
     from conftest import random_complex_form
 
     if q == "random-d2":
         q = random_complex_form(np.random.default_rng(12), 2)
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
     if q.dim == 1:
-        re, im = np.meshgrid(np.linspace(0, 3, 20), np.linspace(-0.5, 2, 15))
+        re, im = np.meshgrid(np.linspace(0, 3, 20), np.linspace(-0.5, 2, shifts // 20))
         zs = (re + 1j * im).ravel()
     else:
-        zs = _window(op, 300)
-    assert _largest_block_engine(op, len(zs)) == "schur"
+        zs = _window(op, shifts)
+    assert _largest_block_engine(op, len(zs)) == engine
     got = dc.resolvent_norm(op, zs)
     want, cond = _block_svd_norms(op, zs)
     m = max(len(idx) for idx, _ in op.blocks)
@@ -447,9 +459,10 @@ def test_sigma_min_schur_small_and_degenerate_inputs():
     assert tiny[0] == 0.0 and tiny[1] == pytest.approx(abs(1e-300 - 0.5j), rel=1e-12)
 
 
-def test_sigma_min_sparse_basis_grows_with_steps():
+def test_sigma_min_sparse_stores_no_basis():
     # the Lanczos recurrence stores no basis, only a few vectors per shift:
-    # on an m = 3001 block the whole call stays below 64 complex m-vectors
+    # on an m = 3001 block the whole call, the shift included, stays below
+    # 64 complex m-vectors
     import tracemalloc
 
     from dcspec.weyl import _sigma_min_sparse
@@ -458,10 +471,9 @@ def test_sigma_min_sparse_basis_grows_with_steps():
     _, b = op.blocks[0]
     m = b.shape[0]
     assert m == 3001
-    B = b - complex(-1, 0.5) * sp.identity(m, dtype=complex, format="csc")
     tracemalloc.start()
     try:
-        _sigma_min_sparse(B)
+        _sigma_min_sparse(b, np.array([complex(-1, 0.5)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -558,9 +570,9 @@ def test_ritz_check_decides_as_the_eigh_rule(monkeypatch):
                         (parse_symbol_spec("wedge_model.json"), 20, 0.1, None)]:
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
         zs = _window(op, 300) if zs is None else zs
-        for i, _ in enumerate(op._sigma_parts):
-            for T in op._schur(i):
-                weyl._sigma_min_schur(T, zs)
+        for _, part in op._sigma_parts:
+            for b in part:
+                weyl._sigma_min_schur(b, zs)
     assert len(checks) > 100 and sum(checks) > 10**4
 
 
@@ -597,13 +609,13 @@ def test_sigma_min_schur_memory_is_a_few_vector_blocks():
     from dcspec.weyl import _BATCH_ENTRIES, _sigma_min_schur
 
     op = dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, 100, 0.05))
-    T = op._schur(0)[0]
-    assert len(T) == 51
+    B = op._sigma_parts[0][1][0]
+    assert len(B) == 51
     re, im = np.meshgrid(np.linspace(0, 3, 80), np.linspace(-0.5, 2, 60))
     zs = (re + 1j * im).ravel()
     tracemalloc.start()
     try:
-        _sigma_min_schur(T, zs)
+        _sigma_min_schur(B, zs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -725,10 +737,11 @@ def test_probe_theorem_recomputes_straddling_blocks(davies, monkeypatch):
 
 
 def test_sparse_shift_through_stored_diagonal_matches_identity_subtraction():
-    # resolvent_norm shifts a sparse block by moving its stored diagonal; the
-    # former B - z I (the oracle here) gives the same sigma_min bit for bit,
-    # also on blocks that lack diagonal entries: with R_00 = -R_11 exactly,
-    # the diagonal of this random d = 2 form vanishes where k_1 = k_2
+    # the sparse engine shifts a block by moving its stored diagonal; the
+    # former B - z I (the oracle here, shifted by 0) gives the same sigma_min
+    # bit for bit, also on blocks that lack diagonal entries: with
+    # R_00 = -R_11 exactly, the diagonal of this random d = 2 form vanishes
+    # where k_1 = k_2
     from dcspec.weyl import _sigma_min_sparse
 
     rng = np.random.default_rng(6)
@@ -742,9 +755,37 @@ def test_sparse_shift_through_stored_diagonal_matches_identity_subtraction():
     assert [b.shape[0] for b in parts] == [144, 132] and all(sp.issparse(b) for b in parts)
     floor = 1e-14 * np.linalg.norm(M.data)
     for z in (rng.uniform(-4, 4, 12) + 1j * rng.uniform(-4, 4, 12)).tolist():
-        smin = min(_sigma_min_sparse(b - z * sp.identity(b.shape[0], dtype=complex, format="csc"))
-                   for b in parts)
+        smin = min(_sigma_min_sparse(b - z * sp.identity(b.shape[0], dtype=complex, format="csc"),
+                                     np.zeros(1))[0] for b in parts)
         assert smin >= floor and dc.resolvent_norm(op, z) == 1.0 / smin
+
+
+def _lanczos_counts(monkeypatch):
+    """The shift count of each ``weyl._lanczos`` call from here on."""
+    from dcspec import weyl
+
+    counts, lanczos = [], weyl._lanczos
+    monkeypatch.setattr(weyl, "_lanczos", lambda m, count, solve: counts.append(count) or lanczos(m, count, solve))
+    return counts
+
+
+def test_sparse_engine_groups_shifts_by_factor_fill(monkeypatch):
+    # a group of shifts holds SuperLU factors of about _BATCH_ENTRIES stored
+    # entries, each shift in one group: family_beta h 0.1, N 40 (blocks 441
+    # and 420, about 1.4e4 entries a factor) runs at most 3 shifts a group,
+    # davies h 0.05, N 300 (blocks 151 and 150, about 700) more than one
+    from dcspec.weyl import _engine
+
+    counts = _lanczos_counts(monkeypatch)
+    rng = np.random.default_rng(9)
+    zs = rng.uniform(0, 3, 12) + 1j * rng.uniform(-0.5, 2, 12)
+    for q, N, h in [(parse_symbol_spec("family_beta.json"), 40, 0.1), (davies_form(1.0), 300, 0.05)]:
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+        assert [_engine(part, len(zs)) for _, part in op._sigma_parts] == ["sparse", "sparse"]
+        counts.clear()
+        dc.resolvent_norm(op, zs)
+        assert sum(counts) == 2 * len(zs)
+        assert (max(counts) <= 3) if q.dim == 2 else (min(counts) > 1)
 
 
 def test_sample_admissible_counts_its_last_draw(kfp, monkeypatch):
@@ -899,17 +940,19 @@ def test_resolvent_norm_infinity_signal_dense_blocks(harmonic):
         assert dc.resolvent_norm(op, z) == pytest.approx(expected, rel=1e-10)
 
 
-def test_resolvent_norm_infinity_signal_sparse(harmonic):
-    # the sparse engine on the unsplit diagonal harmonic matrix, n = 201
+def test_resolvent_norm_infinity_signal_sparse(harmonic, monkeypatch):
+    # the sparse engine on the unsplit diagonal harmonic matrix, n = 201,
+    # which stores its whole diagonal
     from dcspec.weyl import DENSE_SVD_CUTOFF, INFINITY_SIGMA_RTOL, _sigma_min_sparse
 
     op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 200, 0.1))
     M = op.matrix
     assert M.shape[0] > DENSE_SVD_CUTOFF
     eigs = M.diagonal().real
+    assert (eigs != 0).all()
 
     def smin(z):
-        return _sigma_min_sparse(M - z * sp.identity(M.shape[0], dtype=complex, format="csc"))
+        return _sigma_min_sparse(M, np.array([z]))[0]
 
     # an exact diagonal entry makes the LU factor exactly singular; 0.3 is
     # an eigenvalue up to rounding
@@ -919,6 +962,16 @@ def test_resolvent_norm_infinity_signal_sparse(harmonic):
     for _ in range(10):
         z = complex(rng.uniform(0, 2), rng.uniform(-1, 1))
         assert smin(z) == pytest.approx(np.min(np.abs(eigs - z)), rel=1e-10)
+    # one array call whose factors all fit one group: the singular ones,
+    # first and last among them, give 0 and the others run through a
+    # single _lanczos call
+    counts = _lanczos_counts(monkeypatch)
+    zs = np.array([eigs[5], 0.7 + 0.2j, eigs[9], 1.3 - 0.4j, 0.05 + 0.01j, eigs[12]])
+    got = _sigma_min_sparse(M, zs)
+    assert counts == [3]
+    assert got[0] == got[2] == got[5] == 0.0
+    want = np.min(np.abs(eigs[:, None] - zs[[1, 3, 4]]), axis=0)
+    assert got[[1, 3, 4]] == pytest.approx(want, rel=1e-10)
 
 
 def test_pseudospectrum_grid_harmonic(harmonic):
@@ -1005,6 +1058,7 @@ def test_sigma_min_against_mpmath_svd(q, N, h):
     lowest = sorted(np.linalg.eigvals(op.matrix.toarray()), key=abs)[:3]
     parity = multi_indices(q.dim, N).sum(1) % 2
     parity_blocks = [op.matrix[parity == p][:, parity == p] for p in (0, 1)]
+    assert (op.matrix.diagonal() != 0).all()  # so each block stores its whole diagonal
     with mp.workdps(30):
         exact = mp_galerkin_blocks(q, N, h)
         for lam, t in zip(lowest, (0.4, 2.0, 4.1)):
@@ -1013,7 +1067,7 @@ def test_sigma_min_against_mpmath_svd(q, N, h):
             for B, b in zip(exact, parity_blocks):
                 shifted = B - mp.mpc(z.real, z.imag) * mp.eye(B.rows)
                 want.append(float(min(mp.svd_c(shifted, compute_uv=False))))
-                got = _sigma_min_sparse(b - z * sp.identity(b.shape[0], format="csc"))
+                got = _sigma_min_sparse(b, np.array([z]))[0]
                 assert got == pytest.approx(want[-1], rel=1e-9)
             assert 1.0 / dc.resolvent_norm(op, z) == pytest.approx(min(want), rel=1e-9)
 
