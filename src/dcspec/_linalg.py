@@ -12,6 +12,11 @@ def frob(matrix):
     return float(np.linalg.norm(matrix))
 
 
+def block_matrix(A, B, C, D):
+    """[[A, B], [C, D]], joined by np.concatenate, which checks less than np.block."""
+    return np.concatenate((np.concatenate((A, B), axis=1), np.concatenate((C, D), axis=1)))
+
+
 def symplectic_defect(matrix, J):
     """Frobenius norm of kappa^T J kappa - J (transpose, no conjugation)."""
     return frob(matrix.T @ J @ matrix - J)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import sym, frob, symplectic_defect
+from ._linalg import block_matrix, sym, frob, symplectic_defect
 from .errors import InvalidPhaseError, NotCanonicalError, NotFbiPhaseError, SingularBlockError
 from .symplectic import standard_j
 
@@ -54,9 +54,7 @@ class FbiPhase:
             M = np.asarray(getattr(self, name), dtype=complex)
             if M.shape != (d, d):
                 raise InvalidPhaseError(f"block {name} must be {d}x{d}, got {M.shape}")
-            object.__setattr__(self, name, M)
-        object.__setattr__(self, "xx", sym(self.xx))
-        object.__setattr__(self, "yy", sym(self.yy))
+            object.__setattr__(self, name, M if name == "xy" else sym(M))
         if np.linalg.eigvalsh(self.yy.imag).min() <= 0:
             raise InvalidPhaseError("Im yy must be positive definite")
         s = np.linalg.svd(self.xy, compute_uv=False)
@@ -121,24 +119,14 @@ def phi_weight(phase):
     The Levi form comes out as
     (Im xy W Im xy^T + Re xy W Re xy^T) / 4 with W = (Im yy)^-1.
     """
-    d = phase.dim
     W = np.linalg.inv(phase.yy.imag)
     ReA, ImA = phase.xx.real, phase.xx.imag
     ReB, ImB = phase.xy.real, phase.xy.imag
-
-    # -Im<x, xx x>/2 over (u, v) = (Re x, Im x)
-    P = np.zeros((2 * d, 2 * d))
-    P[:d, :d] = -0.5 * ImA
-    P[d:, d:] = 0.5 * ImA
-    P[:d, d:] = -0.5 * ReA
-    P[d:, :d] = -0.5 * ReA.T
-    # + <Im(B^T x), W Im(B^T x)>/2 with Im(B^T x) = ImB^T u + ReB^T v
-    P[:d, :d] += 0.5 * ImB @ W @ ImB.T
-    P[d:, d:] += 0.5 * ReB @ W @ ReB.T
-    P[:d, d:] += 0.5 * ImB @ W @ ReB.T
-    P[d:, :d] += 0.5 * ReB @ W @ ImB.T
-    levi = 0.25 * (ImB @ W @ ImB.T + ReB @ W @ ReB.T)
-    return PhiWeight(d, sym(P), sym(levi))
+    IWI, RWR = ImB @ W @ ImB.T, ReB @ W @ ReB.T
+    # over (u, v) = (Re x, Im x): -Im<x, xx x> from the xx parts, plus
+    # <Im(B^T x), W Im(B^T x)> with Im(B^T x) = ImB^T u + ReB^T v
+    P = 0.5 * block_matrix(IWI - ImA, ImB @ W @ ReB.T - ReA, ReB @ W @ ImB.T - ReA.T, RWR + ImA)
+    return PhiWeight(phase.dim, sym(P), sym(0.25 * (IWI + RWR)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,7 @@ class BlockCanonicalMap:
 
     @property
     def matrix(self):
-        return np.block([[self.A, self.B], [self.C, self.D]])
+        return block_matrix(self.A, self.B, self.C, self.D)
 
     @classmethod
     def from_matrix(cls, M):

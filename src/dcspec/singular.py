@@ -7,8 +7,9 @@ Re F (Im F)^k, k = 0..2d-1, which suffice by Cayley-Hamilton.
 
 Flow averages of the real part are computed in closed form from one
 matrix exponential (Van Loan, IEEE TAC 23, 1978), with no quadrature.
-It is taken once per (form, T) and shared through a one-entry cache with
-``weight_gq`` and ``averaging_identity_defect`` in :mod:`dcspec.weights`.
+It is taken once per (form, T) and shared with ``weight_gq`` and
+``averaging_identity_defect`` in :mod:`dcspec.weights` through a one-entry
+cache keyed by the form's coefficient bytes, never by the object.
 """
 
 import functools
@@ -20,7 +21,7 @@ import scipy.linalg as sla
 
 from ._linalg import sym, frob
 from .errors import DomainError, NumericalFailureError, PreconditionError
-from .symplectic import QuadraticForm, hamilton_map, phase_point
+from .symplectic import _minus_j, hamilton_map, phase_point
 
 __all__ = [
     "RealSubspace",
@@ -99,7 +100,7 @@ def singular_space(fmap, tolerance=DEFAULT_KERNEL_TOL):
         blocks.append(ReF @ P)
         P = P @ ImF
     K = np.vstack(blocks)
-    _, s, Vt = np.linalg.svd(K)
+    _, s, Vt = np.linalg.svd(K, full_matrices=False)
     if s[0] == 0.0:
         basis = np.eye(n)
     else:
@@ -131,7 +132,7 @@ def _flow_exponential(dim, coefficients, T):
     that overflows raises :class:`NumericalFailureError`, which is not cached.
     """
     A = np.frombuffer(coefficients, dtype=complex).reshape(2 * dim, 2 * dim)
-    H = 2.0 * hamilton_map(QuadraticForm(dim, A)).imag
+    H = _minus_j(2.0 * A.imag)
     n = H.shape[0]
     m = n * n
     C = np.zeros((m + 2, m + 2))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SymbolSchemaError
-from ._linalg import sym
+from ._linalg import block_matrix, sym
 
 __all__ = [
     "standard_j",
@@ -26,10 +26,8 @@ __all__ = [
 
 def standard_j(dim):
     """Standard symplectic matrix J = [[0, -I], [I, 0]] of size 2*dim."""
-    J = np.zeros((2 * dim, 2 * dim))
-    J[:dim, dim:] = -np.eye(dim)
-    J[dim:, :dim] = np.eye(dim)
-    return J
+    Z, I = np.zeros((dim, dim)), np.eye(dim)
+    return block_matrix(Z, -I, I, Z)
 
 
 def phase_point(coords):
@@ -88,16 +86,6 @@ class HamiltonMap:
         return self.matrix.imag
 
 
-def _index_pairs(dim, alpha, beta):
-    """Split a degree-2 monomial x^alpha xi^beta into its two slot indices."""
-    slots = []
-    for j, a in enumerate(alpha):
-        slots.extend([j] * a)
-    for j, b in enumerate(beta):
-        slots.extend([dim + j] * b)
-    return slots
-
-
 def build_quadratic_form(dim, coefficients):
     """Assemble a :class:`QuadraticForm` from degree-2 monomial coefficients.
 
@@ -132,7 +120,8 @@ def build_quadratic_form(dim, coefficients):
             raise SymbolSchemaError(
                 f"term {(alpha, beta)} has total degree {sum(alpha) + sum(beta)}, need 2"
             )
-        i, j = _index_pairs(dim, alpha, beta)
+        # the two slot indices of x^alpha xi^beta; xi_j is slot dim + j
+        i, j = [k for k, e in enumerate(alpha + beta) for _ in range(e)]
         c = complex(c)
         if i == j:
             A[i, i] += c
@@ -150,10 +139,15 @@ def evaluate(q, X):
     return complex(X @ q.matrix @ X)
 
 
+def _minus_j(M):
+    """-J M for the standard J: M's row blocks swapped, the new lower block negated."""
+    d = len(M) // 2
+    return np.concatenate((M[d:], -M[:d]))
+
+
 def hamilton_map(q):
     """Hamilton map F = -J A of a quadratic form (J F = A)."""
-    J = standard_j(q.dim)
-    return HamiltonMap(q.dim, -J @ q.matrix)
+    return HamiltonMap(q.dim, _minus_j(q.matrix))
 
 
 def symplectic_product(X, Y):

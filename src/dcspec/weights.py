@@ -6,8 +6,13 @@ real phase space along i * H_G then trades the degenerate real part for a
 strictly elliptic one.  The plain shift X + i delta H_G X is not canonical,
 but multiplying by the inverse square root of 1 + delta^2 H_G^2 repairs it
 exactly, which keeps the Hamilton spectrum invariant.
+
+The weight reuses the flow exponential of :mod:`dcspec.singular`; likewise
+``canonical_normalizer`` reuses ``delta_max`` through a one-entry cache
+keyed by the bytes of H_G, since weights may be written in place.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +21,7 @@ import scipy.linalg as sla
 from ._linalg import sym, frob, symplectic_defect
 from .errors import DeltaTooLargeError, DomainError, NumericalFailureError
 from .singular import _flow_integrals
-from .symplectic import hamilton_map, standard_j
+from .symplectic import _minus_j, standard_j
 
 __all__ = [
     "j_profile",
@@ -61,7 +66,7 @@ class QuadraticWeight:
     @property
     def hamilton_matrix(self):
         """Flow generator of the weight, H_G = -2 J G."""
-        return -2.0 * standard_j(self.dim) @ self.matrix
+        return _minus_j(2.0 * self.matrix)
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def averaging_identity_defect(q, T=1.0):
     norm overflows raises :class:`NumericalFailureError`.
     """
     total, G = _flow_integrals(q, T)
-    H = 2.0 * hamilton_map(q).imag
+    H = _minus_j(2.0 * q.matrix.imag)
     with np.errstate(over="ignore", invalid="ignore"):
         defect = frob(sym(H.T @ G + G @ H) - (total / T - q.matrix.real))
     if not np.isfinite(defect):
@@ -157,9 +162,16 @@ def delta_max(weight):
     block of size k (3e-9 i for d = 1).  So H_G is read as nilpotent, and
     the bound as inf, when its n-th power (n = 2d), scaled by its largest
     entry, is zero to rounding: no entry above n^2 times the machine epsilon.
+    :func:`canonical_normalizer` right after it on the same weight reuses it.
     """
     H = weight.hamilton_matrix
-    n = len(H)
+    return _spectral_bound(len(H), H.dtype.str, H.tobytes())
+
+
+@functools.lru_cache(maxsize=1)  # delta_max and canonical_normalizer run back to back
+def _spectral_bound(n, dtype, data):
+    """:func:`delta_max` of the n x n Hamilton matrix H_G given by its bytes."""
+    H = np.frombuffer(data, dtype=dtype).reshape(n, n)
     scale = float(np.max(np.abs(H)))
     if scale == 0.0 or np.max(np.abs(np.linalg.matrix_power(H / scale, n))) <= n * n * _EPS:
         return np.inf

@@ -107,6 +107,13 @@ def random_psd_real_form(rng, dim, rank=None):
     return R.T @ R
 
 
+def seeded_form(dim, seed=0):
+    """A seeded complex form: Re A positive definite, Im A symmetric."""
+    rng = np.random.default_rng(seed)
+    n = 2 * dim
+    return QuadraticForm(dim, random_psd_real_form(rng, dim) + 1j * sym(rng.standard_normal((n, n))))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -697,15 +697,16 @@ def test_cli_pseudospectrum_coarse_failure_leaves_no_output(tmp_path, capsys, mo
 
 
 def test_cli_pseudospectrum_lanczos_step_bound_exit_code(tmp_path, capsys, monkeypatch):
-    # the Schur engine's Lanczos (blocks 51 and 50, 1200 shifts) with a
-    # residual tolerance of 0 reaches its step bound: exit 3, one JSON line
-    # on stderr, and no CSV or SVG
+    # the Schur engine's Lanczos (blocks 51 and 50, 210 shifts, so both
+    # blocks meet shifts * m^2 >= SCHUR_MIN_WORK) with a residual tolerance
+    # of 0 reaches its step bound: exit 3, one JSON line on stderr, and no
+    # CSV or SVG
     from dcspec import weyl
 
     monkeypatch.setattr(weyl, "_LANCZOS_TOL", 0.0)
     csv_path, svg_path = tmp_path / "grid.csv", tmp_path / "heat.svg"
     argv = ["pseudospectrum", "--symbol", "davies.json", "--h", "0.05", "--N", "100",
-            "--window", "0,3,-0.5,2", "--res", "40,30", "--out", str(csv_path),
+            "--window", "0,3,-0.5,2", "--res", "15,14", "--out", str(csv_path),
             "--svg", str(svg_path)]
     _assert_typed_exit_3(argv, capsys, "unconverged after")
     assert not csv_path.exists() and not svg_path.exists()

@@ -185,6 +185,33 @@ def test_lattice_scaling_relation(wedge):
         assert ma == mb and abs(za - h * zb) < 1e-12 * max(1.0, abs(za))
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    mus=st.lists(st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5).filter(
+        lambda mu: mu.real >= 0.5), min_size=1, max_size=3),
+    h=st.floats(1e-3, 10.0),
+    reach=st.floats(1.1, 3.0),
+)
+def test_lattice_scales_with_h_property(mus, h, reach):
+    # the values at scale h within h * radius are h times the values at
+    # scale 1 within radius, with the same multiplicities; values within
+    # 1e-9 of the radius may fall on either side and are left out
+    mus = np.array(mus, dtype=complex)
+    spec = dc.LatticeSpectrum(len(mus), 1j * mus, mus)
+    radius = reach * abs(np.sum(mus))  # mu(0) is inside
+
+    def inside(h, r):
+        pts = [(z, m) for z, m in dc.lattice_points(spec, h, r) if abs(z) <= (1 - 1e-9) * r]
+        return np.array([z for z, _ in pts], dtype=complex), [m for _, m in pts]
+
+    za, ma = inside(h, h * radius)
+    zb, mb = inside(1.0, radius)
+    assert len(za) == len(zb) > 0
+    nearest = np.argmin(np.abs(za[:, None] - h * zb[None, :]), axis=1)
+    assert np.all(np.abs(za - h * zb[nearest]) <= 1e-12 * h * radius)
+    assert ma == [mb[j] for j in nearest]
+
+
 def test_dist_to_spectrum_harmonic(harmonic):
     spec = dc.stable_eigenvalues(dc.hamilton_map(harmonic))
     assert dc.dist_to_spectrum(spec, 0.1, 0.3) < 1e-15

@@ -3,7 +3,7 @@ import pytest
 
 import dcspec as dc
 from dcspec.errors import SymbolSchemaError
-from conftest import davies_form, family_form, harmonic_form, kfp_form
+from conftest import davies_form, family_form, harmonic_form, kfp_form, seeded_form
 
 
 def test_harmonic_matrix_is_identity(harmonic):
@@ -110,13 +110,16 @@ def test_j_squared_is_minus_identity():
 
 
 @pytest.mark.parametrize(
-    "q", [harmonic_form(), kfp_form(1.0), family_form(1, 1, 1), davies_form(1.0)]
+    "q",
+    [harmonic_form(), kfp_form(1.0), family_form(1, 1, 1), davies_form(1.0)]
+    + [seeded_form(d, seed) for d in (1, 2, 3) for seed in (0, 1)],
 )
 def test_hamilton_map_invariants(q, rng):
     F = dc.hamilton_map(q)
     J = dc.standard_j(q.dim)
     scale = np.linalg.norm(F.matrix)
-    # F equals -J A exactly
+    # the block swap equals the J product -J A exactly (np.array_equal
+    # takes -0.0 == 0.0; the product's signs of zero follow BLAS summation)
     assert np.array_equal(F.matrix, -J @ q.matrix)
     # skew-symmetry with respect to the symplectic product on basis pairs
     e = np.eye(2 * q.dim)

@@ -11,7 +11,7 @@ from scipy.integrate import quad_vec
 import dcspec as dc
 from dcspec._linalg import sym
 from dcspec.errors import DeltaTooLargeError, NumericalFailureError
-from conftest import family_form, kfp_form, multiset_defect, random_psd_real_form
+from conftest import family_form, kfp_form, multiset_defect, random_psd_real_form, seeded_form
 
 
 def test_j_profile_values():
@@ -37,6 +37,49 @@ def test_weight_hamilton_matrix_is_sigma_skew(kfp):
     J = dc.standard_j(2)
     # sigma(H X, Y) = -sigma(X, H Y) means J H symmetric
     assert np.allclose(J @ H, (J @ H).T, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weight_hamilton_matrix_is_the_j_product(d):
+    # the block swap [2 G_xi; -2 G_x] equals -2 J G exactly, for a weight
+    # of the flow and for a plain positive semidefinite one
+    rng = np.random.default_rng(d)
+    for G in (dc.weight_gq(seeded_form(d, d), T=1.0).matrix, random_psd_real_form(rng, d, d)):
+        w = dc.QuadraticWeight(T=1.0, matrix=G)
+        assert np.array_equal(w.hamilton_matrix, -2 * dc.standard_j(d) @ G)
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Count numpy eigvals calls, starting from an empty delta_max cache."""
+    from dcspec import weights
+
+    calls = []
+    real_eigvals = np.linalg.eigvals
+
+    def counting(A):
+        calls.append(A.shape)
+        return real_eigvals(A)
+
+    monkeypatch.setattr(weights.np.linalg, "eigvals", counting)
+    weights._spectral_bound.cache_clear()
+    return calls
+
+
+def test_delta_max_shared_and_never_stale(eigvals_calls):
+    w = dc.weight_gq(kfp_form(1.0), T=1.0)
+    dmax = dc.delta_max(w)
+    dc.canonical_normalizer(w, 0.5 * dmax)
+    # equal content in a new object: served from the cache
+    dc.canonical_normalizer(dc.QuadraticWeight(w.T, w.matrix.copy()), 0.5 * dmax)
+    assert len(eigvals_calls) == 1
+    # written in place by a caller: both functions see the new content,
+    # whose H_G is twice the old one
+    w.matrix[:] *= 2.0
+    with pytest.raises(DeltaTooLargeError):
+        dc.canonical_normalizer(w, 0.75 * dmax)
+    assert dc.delta_max(w) == pytest.approx(0.5 * dmax, rel=1e-12)
+    assert len(eigvals_calls) == 2
 
 
 def test_averaging_identity_kfp(kfp):

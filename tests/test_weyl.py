@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 import dcspec as dc
 from dcspec.cli import parse_symbol_spec
+from dcspec._linalg import sym
 from conftest import davies_form, harmonic_form, kfp_form, multiset_defect
 
 
@@ -199,6 +200,32 @@ def test_lattice_convergence_wedge_model():
         errs.append(multiset_defect(dc.spectrum_truncated(op, 4), target))
     floor = 1e-12
     assert errs[1] <= max(errs[0], floor) and errs[2] <= max(errs[1], floor)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    re_part=st.floats(0.0, 0.3),
+    im_part=st.floats(0.0, 1.0),
+)
+def test_truncation_eigenvalues_match_lattice_property(seed, d, re_part, im_part):
+    # elliptic forms A = I + re_part S1 + i im_part S2 (unit-norm symmetric
+    # S1, S2, so Re A >= 0.7 I): the k truncation eigenvalues of least
+    # modulus are the k least lattice values, with k cut at the widest gap
+    # among the least six moduli, so that rounding cannot swap the last pair
+    rng = np.random.default_rng(seed)
+    n = 2 * d
+    S1, S2 = (sym(rng.standard_normal((n, n))) for _ in range(2))
+    A = np.eye(n) + re_part * S1 / np.linalg.norm(S1, 2) + 1j * im_part * S2 / np.linalg.norm(S2, 2)
+    q = dc.QuadraticForm(d, A)
+    spec = dc.stable_eigenvalues(dc.hamilton_map(q))
+    reach = abs(np.sum(spec.mus)) + 10 * np.max(np.abs(spec.mus))  # holds mu(0) + 2 j mu_1, j <= 5
+    lattice = [z for z, m in dc.lattice_points(spec, 1.0, reach) for _ in range(m)][:6]
+    moduli = np.abs(lattice)
+    k = 2 + int(np.argmax(np.diff(moduli)[1:]))
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(d, 40 if d == 1 else 16, 1.0))
+    assert multiset_defect(dc.spectrum_truncated(op, k), lattice[:k]) <= 1e-5 * moduli[k - 1]
 
 
 def test_spectral_scaling():
