@@ -53,6 +53,7 @@ from .fbi import (
     phi_weight,
 )
 from .weyl import (
+    LEVEL_GAP,
     HermiteTruncation,
     probe_theorem,
     pseudospectrum_grid,
@@ -412,11 +413,11 @@ def _parse_floats(text, count, flag):
 def _coarse_degree(N):
     """Truncation degree of the two-level convergence report, strictly below N.
 
-    Ten levels below N, but not under 4 unless N itself is at most 4.
+    ``LEVEL_GAP`` levels below N, but not under 4 unless N itself is at most 4.
     """
     if N < 1:
         raise DomainError(f"--N must be >= 1 to have a coarser level, got {N}")
-    return max(min(4, N - 1), N - 10)
+    return max(min(4, N - 1), N - LEVEL_GAP)
 
 
 def _grid_counts(values, flag):

@@ -176,7 +176,7 @@ def kappa_of_phase(phase):
     B = -np.linalg.inv(phase.xy.T)
     A = B @ phase.yy
     D = phase.xx @ B
-    C = phase.xy + D @ np.linalg.inv(B) @ A
+    C = phase.xy - D @ phase.xy.T @ A  # B^-1 = -xy^T
     return BlockCanonicalMap(A, B, C, D)
 
 

@@ -356,10 +356,13 @@ def sample_admissible(region, spec, count, rng):
     Each round draws the (u, theta) pairs of the points still missing, in
     the order one-at-a-time draws would take them, and tests them in one
     :func:`admissible` call; a round draws no more than it can accept, so
-    the points and the generator's state match drawing one at a time.
+    the points and the generator's state match drawing one at a time.  An
+    inner radius above the outer one leaves no annulus: DomainError.
     """
     inner = region.inner_radius or 0.0
     outer = region.outer_radius
+    if inner > outer:
+        raise DomainError(f"empty annulus: inner radius {inner} exceeds outer radius {outer}")
     out = []
     tries = 0
     while len(out) < count:

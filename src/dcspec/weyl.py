@@ -20,9 +20,10 @@ harmonic oscillator).  sigma_min of a direct sum is the smallest of its
 summands' values, and the spectrum is the union of theirs.
 ``resolvent_norm`` computes 1/sigma_min(M - z) for a scalar or an array of
 shifts, with one finiteness check and one ||M||_F per call, as the smallest
-value over ``TruncatedWeylOperator._sigma_parts``: the dense blocks stacked
-by size, then the sparse ones.  ``_engine``, the one rule, picks per part
-and call from the block size m and the number of shifts k:
+value over ``TruncatedWeylOperator.blocks``, one block at a time.  Every
+engine takes one block and the call's 1-D shifts and returns one value per
+shift.  ``_engine``, the one rule, picks per block and call from the block
+size m and the number of shifts k:
 
 - "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): each shift's
   B - z (B's stored diagonal moved) is factored with SuperLU, and groups of
@@ -35,8 +36,8 @@ and call from the block size m and the number of shifts k:
   (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular solves per step,
   batched over the shifts (``_sigma_min_schur``; Lui, SIAM J. Sci.
   Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
-- "dense", any other block: the blocks of one size stacked, one SVD call
-  per stack and chunk of shifts (``_sigma_min_dense``).
+- "dense", any other block: one SVD call per chunk of max(1, 2^15 // m^2)
+  shifts (``_sigma_min_dense``).
 
 ``_lanczos``, one three-term recurrence with no stored basis, runs
 max(1, 2^15 // m) shifts at a time, so a vector block holds at most
@@ -48,16 +49,15 @@ Ritz values, and the residual of the top one from a pivot recurrence; a
 shift with a ghost pair or a pivot that is not positive and finite takes
 the Ritz vectors instead, as does a lone shift, for which one ``eigh``
 costs less than the pivots' calls.  It starts every shift from one fixed
-vector, so results are reproducible at a fixed BLAS thread count.  Each
-engine takes a part and all of the call's shifts.  The "dense" one gives
-each matrix the LAPACK call of a scalar call, so an array call matches
-scalar calls bit for bit; in the two Lanczos engines a shift runs
-alongside the call's other shifts, so an array call matches them to
-rounding (a few u ||B - z|| ||(B - z)^{-1}||, as any backward-stable
-sigma_min does).  Either way, sigma_min below 1e-14 ||M||_F (an exactly
-singular LU factor or a zero pivot of T - z included) is reported as an
-infinite norm, the infinity signal.  Spectra use a dense eigensolver on
-each block.
+vector, so results are reproducible at a fixed BLAS thread count.  The
+"dense" engine gives each matrix the LAPACK call of a scalar call, so an
+array call matches scalar calls bit for bit; in the two Lanczos engines a
+shift runs alongside the call's other shifts, so an array call matches
+them to rounding (a few u ||B - z|| ||(B - z)^{-1}||, as any
+backward-stable sigma_min does).  Either way, sigma_min below
+1e-14 ||M||_F (an exactly singular LU factor or a zero pivot of T - z
+included) is reported as an infinite norm, the infinity signal.  Spectra
+use a dense eigensolver on each block.
 
 The constants rest on single-threaded per-shift times on one block (a
 2-core Xeon VM, OpenBLAS, medians of 7 interleaved runs), Schur forms
@@ -109,13 +109,14 @@ SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-# complex entries per Lanczos vector block or stack of shifted SVD copies,
+# complex entries per Lanczos vector block or chunk of shifted SVD copies,
 # and stored entries per group of SuperLU factors, which set the shifts a chunk
 _BATCH_ENTRIES = 2**15
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
 PROBE_CONVERGE_RTOL = 0.05  # probe_theorem: relative norm change between levels
 PROBE_MAX_ROUNDS = 3  # probe_theorem: degree increases before giving up
+LEVEL_GAP = 10  # degrees between the truncation levels a convergence check compares
 
 
 def multi_indices(dim, degree):
@@ -202,20 +203,6 @@ class TruncatedWeylOperator:
                 b = sp.csc_matrix((np.r_[P.data[sel], np.zeros(size)], ij), shape=(size, size))
             out.append((perm[stop - size:stop], b))
         return tuple(out)
-
-    @cached_property
-    def _sigma_parts(self):
-        """The parts ``resolvent_norm`` takes sigma_min over, as (keys, part)
-        pairs: the dense ``blocks`` of each size stacked into one (count, m, m)
-        array, then the sparse ones, each with its blocks' basis indices as
-        bytes, which with the shifts key ``_sigma_memo``."""
-        stacks, sparse = {}, []
-        for idx, b in self.blocks:
-            if sp.issparse(b):
-                sparse.append(([idx.tobytes()], b))
-            else:
-                stacks.setdefault(len(b), []).append((idx.tobytes(), b))
-        return [([k for k, _ in g], np.stack([b for _, b in g])) for g in stacks.values()] + sparse
 
 
 def quantize_quadratic(q, trunc):
@@ -406,8 +393,8 @@ def _sigma_min_sparse(B, zs):
     idx, lus, fill = [], [], 0  # a group not yet run: its shifts, their factors and entries
 
     def solve(q, run):
-        w = [lus[r].solve(lus[r].solve(q[:, j:j + 1], trans="H")) for j, r in enumerate(run.tolist())]
-        return w[0] if len(w) == 1 else np.concatenate(w, axis=1)  # a scalar call skips the copy
+        return np.concatenate([lus[r].solve(lus[r].solve(q[:, j:j + 1], trans="H"))
+                               for j, r in enumerate(run.tolist())], axis=1)
 
     for i, z in enumerate(zs.tolist()):
         try:  # only lus holds a factor, so the factors are freed with their group
@@ -438,13 +425,9 @@ def _sigma_min_schur(B, zs):
     diag = np.diag(T)[:, None]
     out = np.zeros(len(zs))
     todo = np.flatnonzero((diag != zs).all(0))
-    shifted = [None, None]  # run, and diag - z over it: built again only for a new run
 
     def solve(q, run):
-        if shifted[0] is not run:
-            shifted[1] = None  # free the old block before making the new one
-            shifted[:] = run, diag - zs[todo[run]]
-        d = shifted[1]
+        d = diag - zs[todo[run]]
         y = q.conj()  # y = (T - z)^{-H} q from (T - z)^T conj(y) = conj(q)
         for i in range(m):
             y[i] = (y[i] - lower[i] @ y[:i]) / d[i]
@@ -457,34 +440,31 @@ def _sigma_min_schur(B, zs):
     return out
 
 
-def _sigma_min_dense(stack, zs, per_block):
-    """sigma_min(B - z) of the blocks B of a (count, m, m) stack for a 1-D
-    array of shifts: one SVD call over the stack per chunk of
-    max(1, ``_BATCH_ENTRIES`` // (count m^2)) shifts, so a chunk's shifted
-    copies hold at most ``_BATCH_ENTRIES`` entries.  Each matrix takes the
-    LAPACK call a lone shift would.  Returns the smallest value over the
-    stack per shift, or with ``per_block`` each block's values as a
-    (count, shifts) array."""
-    count, m, _ = stack.shape
-    chunk = max(1, _BATCH_ENTRIES // (count * m * m))
+def _sigma_min_dense(B, zs):
+    """sigma_min(B - z) of a dense m x m block B for a 1-D array of shifts:
+    one SVD call per chunk of max(1, ``_BATCH_ENTRIES`` // m^2) shifts, so a
+    chunk's shifted copies hold at most ``_BATCH_ENTRIES`` entries.  Each
+    matrix takes the LAPACK call a lone shift would."""
+    m = len(B)
+    chunk = max(1, _BATCH_ENTRIES // (m * m))
     eye = np.eye(m)
-    out = np.empty((count, len(zs)) if per_block else len(zs))
+    out = np.empty(len(zs))
     for start in range(0, len(zs), chunk):
-        zc = zs[start:start + chunk, None, None, None]
-        s = np.linalg.svd(stack - zc * eye, compute_uv=False)[..., -1]
-        out[..., start:start + chunk] = s.T if per_block else s.min(1)
+        zc = zs[start:start + chunk, None, None]
+        out[start:start + chunk] = np.linalg.svd(B - zc * eye, compute_uv=False)[:, -1]
     return out
 
 
-def _engine(part, shifts):
-    """The sigma_min engine of one of ``_sigma_parts`` in a call with
-    ``shifts`` shifts, the one rule (module docstring): "sparse" for a CSC
-    block, "schur" for a stack of m x m blocks with m >= ``SCHUR_MIN_SIZE``
-    and shifts * m^2 >= ``SCHUR_MIN_WORK``, else "dense"."""
-    if sp.issparse(part):
+def _engine(block, shifts):
+    """The sigma_min engine of a block in a call with ``shifts`` shifts, by
+    the one rule of the module docstring."""
+    if sp.issparse(block):
         return "sparse"
-    m = part.shape[-1]
+    m = len(block)
     return "schur" if m >= SCHUR_MIN_SIZE and shifts * m * m >= SCHUR_MIN_WORK else "dense"
+
+
+_ENGINES = {"sparse": _sigma_min_sparse, "schur": _sigma_min_schur, "dense": _sigma_min_dense}
 
 
 def resolvent_norm(op, z):
@@ -492,8 +472,8 @@ def resolvent_norm(op, z):
 
     ``z`` is a complex scalar or array: a 0-d input gives a float, an array
     an array of its shape.  Each shift takes the smallest sigma_min over
-    ``op._sigma_parts``, each part by the engine ``_engine`` picks for it
-    and the number of shifts; a block already in the operator's
+    ``op.blocks``, each block by the engine ``_engine`` picks for it and
+    the number of shifts; a block already in the operator's
     ``_sigma_memo`` (``probe_theorem``) is taken from there.  Returns ``inf``
     (the infinity signal) where sigma_min falls below 1e-14 * ||M||_F, i.e.
     where z is numerically an eigenvalue.  A non-finite z raises DomainError.
@@ -509,33 +489,19 @@ def resolvent_norm(op, z):
 
 def _sigma_min(op, zs):
     """The smallest sigma_min(B - z) over ``op.blocks`` for a 1-D array of
-    shifts.  A block whose key is in ``op._sigma_memo`` takes the stored
-    array; the other blocks of its part are computed, by the engine
-    ``_engine`` picks for them, and stored when the operator has a memo."""
-    keep = op._sigma_memo is not None
-    memo = op._sigma_memo if keep else {}
+    shifts, one block at a time, each from ``op._sigma_memo`` if there, else
+    from the engine ``_engine`` picks (then stored, if there is a memo)."""
+    memo = op._sigma_memo
     tag = zs.tobytes()
     smin = np.full(zs.shape, np.inf)
-    for keys, part in op._sigma_parts:
-        keys = [(k, tag) for k in keys]
-        for k in keys:
-            if k in memo:
-                np.minimum(smin, memo[k], out=smin)
-        new = [r for r, k in enumerate(keys) if k not in memo]
-        if not new:
-            continue
-        if len(new) < len(keys):  # a dense stack; a sparse part is one block
-            part = part[new]
-        engine = _engine(part, zs.size)
-        if engine == "schur":
-            s = np.array([_sigma_min_schur(b, zs) for b in part])
-        elif engine == "sparse":
-            s = _sigma_min_sparse(part, zs)[None]
-        else:
-            s = _sigma_min_dense(part, zs, per_block=keep)
-        if keep:
-            memo.update(zip([keys[r] for r in new], s))
-        np.minimum(smin, s if s.ndim == 1 else s.min(0), out=smin)
+    for idx, b in op.blocks:
+        key = (idx.tobytes(), tag)
+        s = None if memo is None else memo.get(key)
+        if s is None:
+            s = _ENGINES[_engine(b, zs.size)](b, zs)
+            if memo is not None:
+                memo[key] = s
+        np.minimum(smin, s, out=smin)
     return smin
 
 
@@ -596,16 +562,16 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
     """Resolvent norms at admissible points across an h-ladder, with fit.
 
     For each h the truncation degree starts at the energy-cutoff suggestion
-    and grows by 10 until the sampled norms agree with the next level to
-    PROBE_CONVERGE_RTOL, for at most PROBE_MAX_ROUNDS increases; the
-    returned rows use the finer level.  The fit is the least-squares slope
+    and grows by ``LEVEL_GAP`` until the sampled norms agree with the next
+    level to PROBE_CONVERGE_RTOL, for at most PROBE_MAX_ROUNDS increases;
+    the returned rows use the finer level.  The fit is the least-squares slope
     of log norm against log(1/h).
 
     The levels at one h are Galerkin matrices of one symbol on nested graded
     bases, so the coarser matrix is the leading submatrix of the finer one,
     and a block of the finer operator whose basis indices all lie in the
     coarser basis is a block of the coarser one with the same entries (all
-    N + 1 degree shells of kfp at degree N reappear at N + 10).  The levels
+    N + 1 degree shells of kfp at degree N reappear at N + ``LEVEL_GAP``).  The levels
     share a ``_sigma_memo``, so such a block's sigma_min is computed once,
     with the bits a fresh call gives; each level applies its own infinity
     floor.  A symbol whose blocks straddle the coarser basis (davies,
@@ -629,7 +595,7 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
 
         norms = resolvent_norm(level(degree), zs)
         for _ in range(PROBE_MAX_ROUNDS):
-            finer = degree + 10
+            finer = degree + LEVEL_GAP
             norms_f = resolvent_norm(level(finer), zs)
             ok = np.isfinite(norms) & np.isfinite(norms_f)
             rel = math.inf if not ok.any() else float(

@@ -322,6 +322,22 @@ def test_cli_probe_theorem_rejects_malformed_h_list(capsys):
         assert payload["error"] == "SymbolSchemaError"
 
 
+def test_cli_probe_theorem_empty_annulus_fails_at_once(capsys):
+    # --inner-mult 100 puts the inner radius (100 h) above the outer one
+    # (h F(h), about 7 h): exit 2 with DomainError before any draw, where
+    # the sampler used to spin through all of its draws
+    import time
+
+    argv = ["probe-theorem", "--symbol", "kfp.json", "--C0", "0.15", "--C1", "10",
+            "--h-list", "0.1", "--samples", "5", "--inner-mult", "100"]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 5
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "DomainError"
+    assert "inner radius" in payload["message"] and "outer radius" in payload["message"]
+
+
 def test_cli_singular_space_kfp(capsys):
     assert run(["singular-space", "--symbol", "kfp.json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -458,6 +474,30 @@ def test_cli_region_byte_identical_across_processes(tmp_path):
     def make_args(out_dir):
         args, grid = region_args(out_dir, svg=True)
         return args, [grid, out_dir / "region.svg"]
+
+    outputs = cli_outputs_in_fresh_interpreters(tmp_path, make_args)
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_pseudospectrum_byte_identical_across_processes(tmp_path):
+    # davies h 0.05 over the benchmark's window, 240 shifts: both blocks of
+    # N = 100 (51 and 50) and the 46-block of N = 90 take the Schur engine,
+    # the 45-block batched SVDs; CSV, SVG and stdout are byte-identical
+    from dcspec.weyl import _engine
+
+    shifts = 20 * 12
+    engines = []
+    for N in (100, 90):
+        op = dc.quantize_quadratic(parse_symbol_spec("davies.json"), dc.HermiteTruncation(1, N, 0.05))
+        engines += [_engine(b, shifts) for _, b in op.blocks]
+    assert engines == ["schur", "schur", "schur", "dense"]
+
+    def make_args(out_dir):
+        csv_path, svg_path = out_dir / "grid.csv", out_dir / "heat.svg"
+        args = ["pseudospectrum", "--symbol", "davies.json", "--h", "0.05", "--N", "100",
+                "--window", "0,3,-0.5,2", "--res", "20,12", "--out", str(csv_path),
+                "--svg", str(svg_path)]
+        return args, [csv_path, svg_path]
 
     outputs = cli_outputs_in_fresh_interpreters(tmp_path, make_args)
     assert outputs[0] == outputs[1]

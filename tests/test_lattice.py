@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from collections import Counter
 
@@ -555,3 +556,17 @@ def test_sample_admissible_matches_one_draw_at_a_time(kfp, seed):
     rng = np.random.default_rng(seed)
     assert lattice.sample_admissible(region, spec, 12, rng) == want
     assert rng.random() == ref_rng.random()
+
+
+def test_sample_admissible_rejects_an_empty_annulus(kfp):
+    # an inner radius of 100 h lies above the outer one, h F(h) (about 7 h
+    # here): no point can be drawn, so the sampler fails at once, before any
+    # draw, with both radii named
+    spec = dc.stable_eigenvalues(dc.hamilton_map(kfp))
+    region = dc.RegionSpec(h=0.1, C0=0.15, C1=10.0, dim=2, inner_radius=10.0)
+    assert region.outer_radius < region.inner_radius
+    rng = np.random.default_rng(0)
+    radii = f"inner radius 10.0 exceeds outer radius {region.outer_radius}"
+    with pytest.raises(DomainError, match=re.escape(radii)):
+        lattice.sample_admissible(region, spec, 5, rng)
+    assert rng.random() == np.random.default_rng(0).random()

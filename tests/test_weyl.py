@@ -268,7 +268,7 @@ def _largest_block_engine(op, shifts=1):
 
     size, block = max(((len(idx), b) for idx, b in op.blocks), key=lambda t: t[0])
     assert sp.issparse(block) == (size > DENSE_SVD_CUTOFF)
-    return _engine(block if sp.issparse(block) else block[None], shifts)
+    return _engine(block, shifts)
 
 
 @pytest.mark.parametrize(
@@ -439,7 +439,7 @@ def test_resolvent_norm_array_at_schur_threshold_matches_scalar_calls():
     rng = np.random.default_rng(4)
     zs = np.concatenate((eigs, rng.uniform(0, 3, 197) + 1j * rng.uniform(-0.5, 2, 197)))
     assert len(zs) * 50**2 >= SCHUR_MIN_WORK > (len(zs) - 1) * 50**2
-    assert all(_engine(part, len(zs)) == "schur" for _, part in op._sigma_parts)
+    assert all(_engine(b, len(zs)) == "schur" for _, b in op.blocks)
     got = dc.resolvent_norm(op, zs)
     want = np.array([dc.resolvent_norm(op, z) for z in zs.tolist()])
     assert np.isinf(got[:3]).all() and np.isinf(want[:3]).all()
@@ -453,13 +453,13 @@ def test_engine_rule():
     # to 51) takes the Schur engine; blocks above the cutoff stay sparse
     from dcspec.weyl import DENSE_SVD_CUTOFF, SCHUR_MIN_SIZE, _engine
 
-    def stack(m):
-        return np.zeros((1, m, m))
+    def block(m):
+        return np.zeros((m, m))
 
-    assert _engine(stack(37), 20) == _engine(stack(SCHUR_MIN_SIZE - 1), 10**6) == "dense"
-    assert _engine(stack(45), 1200) == _engine(stack(DENSE_SVD_CUTOFF), 42) == "schur"
-    assert _engine(stack(51), 192) == "dense" and _engine(stack(51), 193) == "schur"
-    assert _engine(stack(19), 10**6) == "dense" and _engine(stack(20), 1250) == "schur"
+    assert _engine(block(37), 20) == _engine(block(SCHUR_MIN_SIZE - 1), 10**6) == "dense"
+    assert _engine(block(45), 1200) == _engine(block(DENSE_SVD_CUTOFF), 42) == "schur"
+    assert _engine(block(51), 192) == "dense" and _engine(block(51), 193) == "schur"
+    assert _engine(block(19), 10**6) == "dense" and _engine(block(20), 1250) == "schur"
     assert _engine(sp.identity(DENSE_SVD_CUTOFF + 1, format="csc"), 10**6) == "sparse"
 
 
@@ -597,9 +597,8 @@ def test_ritz_check_decides_as_the_eigh_rule(monkeypatch):
                         (parse_symbol_spec("wedge_model.json"), 20, 0.1, None)]:
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
         zs = _window(op, 300) if zs is None else zs
-        for _, part in op._sigma_parts:
-            for b in part:
-                weyl._sigma_min_schur(b, zs)
+        for _, b in op.blocks:
+            weyl._sigma_min_schur(b, zs)
     assert len(checks) > 100 and sum(checks) > 10**4
 
 
@@ -636,7 +635,7 @@ def test_sigma_min_schur_memory_is_a_few_vector_blocks():
     from dcspec.weyl import _BATCH_ENTRIES, _sigma_min_schur
 
     op = dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, 100, 0.05))
-    B = op._sigma_parts[0][1][0]
+    _, B = op.blocks[0]
     assert len(B) == 51
     re, im = np.meshgrid(np.linspace(0, 3, 80), np.linspace(-0.5, 2, 60))
     zs = (re + 1j * im).ravel()
@@ -651,25 +650,25 @@ def test_sigma_min_schur_memory_is_a_few_vector_blocks():
 
 def test_dense_engine_array_equals_scalar_calls_across_chunks():
     # wedge_model N = 20 (blocks 66, 55, 55, 55): 40 shifts stay on the
-    # dense engine and span 14 chunks of the 55-stack (3 shifts each) and 6
-    # of the 66-block (7 each); every value equals the per-block SVD of one
-    # shifted matrix and the scalar calls, bit for bit, and eigenvalue
-    # shifts give the infinity signal
-    from dcspec.weyl import _BATCH_ENTRIES, _engine, _sigma_min_dense
+    # dense engine and span 4 chunks of each 55-block (10 shifts each) and
+    # 6 of the 66-block (7 each); every value equals the per-block SVD of
+    # one shifted matrix and the scalar calls, bit for bit, sigma_min is
+    # the smallest of the blocks' values, and eigenvalue shifts give the
+    # infinity signal
+    from dcspec.weyl import _BATCH_ENTRIES, _engine, _sigma_min, _sigma_min_dense
 
     op, eigs = _engine_op("dense")
     rng = np.random.default_rng(8)
     zs = np.array(eigs + list(rng.uniform(-1, 6, 37) + 1j * rng.uniform(-3, 3, 37)))
-    parts = [part for _, part in op._sigma_parts]
-    assert [p.shape[:2] for p in parts] == [(1, 66), (3, 55)]
-    assert all(_engine(p, len(zs)) == "dense" for p in parts)
-    assert _BATCH_ENTRIES // (3 * 55**2) == 3
-    for p in parts:
-        each = _sigma_min_dense(p, zs, per_block=True)
-        want = [[np.linalg.svd(b - z * np.eye(len(b)), compute_uv=False)[-1] for z in zs.tolist()]
-                for b in p]
-        assert each.tolist() == want
-        assert _sigma_min_dense(p, zs, per_block=False).tolist() == each.min(0).tolist()
+    blocks = [b for _, b in op.blocks]
+    assert sorted(len(b) for b in blocks) == [55, 55, 55, 66]
+    assert all(_engine(b, len(zs)) == "dense" for b in blocks)
+    assert _BATCH_ENTRIES // 55**2 == 10 and _BATCH_ENTRIES // 66**2 == 7
+    each = [_sigma_min_dense(b, zs) for b in blocks]
+    for b, s in zip(blocks, each):
+        assert s.tolist() == [np.linalg.svd(b - z * np.eye(len(b)), compute_uv=False)[-1]
+                              for z in zs.tolist()]
+    assert _sigma_min(op, zs).tolist() == np.min(each, axis=0).tolist()
     got = dc.resolvent_norm(op, zs)
     assert got.tolist() == [dc.resolvent_norm(op, z) for z in zs.tolist()]
     assert np.isinf(got[:3]).all() and np.isfinite(got[3:]).all()
@@ -679,16 +678,17 @@ def test_dense_engine_array_equals_scalar_calls_across_chunks():
 
 
 def test_dense_engine_memory_is_a_few_batches():
-    # the harmonic oscillator, d = 1, N = 255: one stack of 256 blocks of
-    # size 1, so a chunk is 128 shifts; 5000 shifts in one call (20 MB of
-    # shifted copies unchunked) peak at a few _BATCH_ENTRIES complex entries
+    # the harmonic oscillator, d = 1, N = 255: 256 blocks of size 1, each one
+    # engine call; 5000 shifts in one call (10 MB if every block's values
+    # were kept, 20 MB of shifted copies for all blocks at once) peak at a
+    # few _BATCH_ENTRIES complex entries, as no block's array outlives the
+    # running minimum
     import tracemalloc
 
     from dcspec.weyl import _BATCH_ENTRIES
 
     op = dc.quantize_quadratic(harmonic_form(1), dc.HermiteTruncation(1, 255, 0.1))
-    (_, part), = op._sigma_parts
-    assert part.shape == (256, 1, 1)
+    assert len(op.blocks) == 256 and all(b.shape == (1, 1) for _, b in op.blocks)
     zs = np.random.default_rng(9).uniform(0, 60, 5000) + 0.5j
     want = dc.resolvent_norm(op, zs[:300])
     tracemalloc.start()
@@ -715,10 +715,9 @@ def _probe_levels(q, monkeypatch):
         levels[-1][3] = norm(op, z)
         return levels[-1][3]
 
-    def spy_engine(part, shifts):
-        count, m = (1, part.shape[0]) if sp.issparse(part) else part.shape[:2]
-        levels[-1][4].extend([m] * count)
-        return engine(part, shifts)
+    def spy_engine(block, shifts):
+        levels[-1][4].append(block.shape[0])
+        return engine(block, shifts)
 
     monkeypatch.setattr(weyl, "resolvent_norm", spy_norm)
     monkeypatch.setattr(weyl, "_engine", spy_engine)
@@ -808,7 +807,7 @@ def test_sparse_engine_groups_shifts_by_factor_fill(monkeypatch):
     zs = rng.uniform(0, 3, 12) + 1j * rng.uniform(-0.5, 2, 12)
     for q, N, h in [(parse_symbol_spec("family_beta.json"), 40, 0.1), (davies_form(1.0), 300, 0.05)]:
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
-        assert [_engine(part, len(zs)) for _, part in op._sigma_parts] == ["sparse", "sparse"]
+        assert [_engine(b, len(zs)) for _, b in op.blocks] == ["sparse", "sparse"]
         counts.clear()
         dc.resolvent_norm(op, zs)
         assert sum(counts) == 2 * len(zs)
