@@ -34,14 +34,18 @@ size m and the number of shifts k:
   ``SCHUR_MIN_WORK`` (5e5): one complex Schur form B = Q T Q^H per block,
   so sigma_min(B - z) = sigma_min(T - z); then the same ``_lanczos`` on
   (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular solves per step,
-  batched over the shifts (``_sigma_min_schur``; Lui, SIAM J. Sci.
-  Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
+  batched over the shifts, whose rows are updated in place and multiplied
+  by reciprocal pivots 1/(t_ii - z) formed once per set of running shifts
+  (``_sigma_min_schur``; Lui, SIAM J. Sci. Comput. 18, 1997; Trefethen,
+  Acta Numerica 8, 1999).
 - "dense", any other block: one SVD call per chunk of max(1, 2^15 // m^2)
-  shifts (``_sigma_min_dense``).
+  shifts, or |b - z| for a 1 x 1 block (``_sigma_min_dense``).
 
 ``_lanczos``, one three-term recurrence with no stored basis, runs
 max(1, 2^15 // m) shifts at a time, so a vector block holds at most
-``_BATCH_ENTRIES`` complex entries and a call a few such blocks.
+``_BATCH_ENTRIES`` complex entries and a call a few such blocks.  Its
+blocks are C-ordered, so each step's alpha = Re q^H w and ||w||^2 are
+real products over their float views, and w is scaled by the real 1/beta.
 It accepts a shift when a Ritz value next to the top one, the top value or
 a ghost copy of it, has a small residual, and raises NumericalFailureError
 (exit code 3) after 4 m steps.  The check (``_ritz_check``) takes only the
@@ -62,19 +66,20 @@ use a dense eigensolver on each block.
 The constants rest on single-threaded per-shift times on one block (a
 2-core Xeon VM, OpenBLAS, medians of 7 interleaved runs), Schur forms
 included.  The Schur engine beats per-shift SVDs on davies blocks
-(h = 0.05, shifts over 0..3 x -0.5..2) from 96 to 128 shifts at m = 20,
-from 48 to 64 at m = 41, 51 and 61 (at m = 51 and 64 shifts, 0.16 against
-0.20 ms) and from about 32 at m = 110, and on wedge (h = 0.1, m = 66) from
-32 to 48.  Against the dense engine's batched SVDs it wins from 128 to 192 shifts
-at m = 20, from 48 to 64 at m = 51 and from 40 at m = 110 (same blocks,
-medians of 7 to 9 interleaved runs).  k m^2 = 5e5 (1250 shifts at m = 20,
-193 at 51, 42 at 110) sits at or above all of these.  At 1200 shifts it pays
-from m = 8 (0.010 against 0.023 ms per-shift, 0.014 against 0.017 ms
-batched), below ``SCHUR_MIN_SIZE``; a block smaller than that meets the
-work bound only from 1385 shifts.  Dense SVD and SuperLU + Lanczos cross
-at m = 81 to 91 (d = 1) and near 90 (d = 2); at 240 shifts the Schur
-engine on a densified block beats batched SuperLU up to m = 151 (0.68
-against 0.76 ms per shift; family_beta m = 144: 0.69 against 1.84 ms).
+(h = 0.05, shifts over 0..3 x -0.5..2) from 64 to 128 shifts at m = 20,
+from 40 to 64 at m = 41, 51 and 61 (at m = 51 and 64 shifts, 0.13 to 0.21
+against 0.19 to 0.26 ms) and from 24 to 32 at m = 110, and on wedge
+(h = 0.1, m = 66) from 24 to 32.  Against the dense engine's batched SVDs
+it wins from 96 to 128 shifts at m = 20, from 40 to 48 at m = 51 and from
+24 to 32 at m = 110 (same blocks; two sets of runs where one was not
+clear).  k m^2 = 5e5 (1250 shifts at m = 20, 193 at 51, 42 at 110) sits
+above all of these.  At 1200 shifts it pays from m = 8 (0.0076 against
+0.024 ms per-shift, 0.009 ms batched), below ``SCHUR_MIN_SIZE``; a block
+smaller than that meets the work bound only from 1385 shifts.  Dense SVD
+and SuperLU + Lanczos cross at m = 81 to 91 (d = 1) and near 90 (d = 2);
+at 240 shifts the Schur engine on a densified block ties batched SuperLU
+at m = 151 (0.32 against 0.33 ms per shift) and beats it on family_beta
+at m = 144 (0.39 against 1.04 ms).
 """
 
 import functools
@@ -329,36 +334,50 @@ def _ritz_check_eigh(tri, beta):
     return top[:, 0], ((top - ev <= tol) & (beta[:, None] * np.abs(vec[:, -1]) <= tol)).any(1)
 
 
-def _lanczos(m, count, solve):
+def _re_inner(x, y):
+    """Re x[:, j]^H y[:, j] for each column j of two C-ordered complex blocks,
+    as one real product over their float views, whose adjacent entries are
+    the real and imaginary parts."""
+    p = np.einsum("ms,ms->s", x.view(float), y.view(float))
+    return p[0::2] + p[1::2]
+
+
+def _lanczos(m, count, solver):
     """sigma_min of ``count`` shifted m x m matrices B - z from their solves.
 
-    ``solve(q, run)`` returns (B - z)^{-1} (B - z)^{-H} q[:, j] in column j,
-    z being shift run[j], in a new array.  Lanczos on that operator (top
-    eigenvalue 1/sigma_min^2) runs max(1, ``_BATCH_ENTRIES`` // m) shifts
-    at a time as the plain three-term recurrence in Paige's order, updated
-    in place: no basis is stored or reorthogonalised against, so lost
-    orthogonality only adds ghost copies of converged Ritz values (Paige,
-    Linear Algebra Appl. 34, 1980).  Every ``_LANCZOS_CHECK`` steps, at step
-    m and when w vanishes or overflows, ``_ritz_check`` drops the shifts that
-    are done, which report the top Ritz value; overflowing solves give 0.
-    A shift still running after 4 m steps raises NumericalFailureError."""
+    ``solver(run)`` returns the solve for the shifts in ``run``: a function
+    that maps a block q to a new array, in any memory order, holding
+    (B - z)^{-1} (B - z)^{-H} q[:, j] in column j, z being shift run[j].
+    Lanczos on that operator (top eigenvalue 1/sigma_min^2) runs max(1,
+    ``_BATCH_ENTRIES`` // m) shifts at a time as the plain three-term
+    recurrence in Paige's order, updated in place: no basis is stored or
+    reorthogonalised against, so lost orthogonality only adds ghost copies
+    of converged Ritz values (Paige, Linear Algebra Appl. 34, 1980).  The
+    blocks are kept C-ordered, so that alpha = Re q^H w and ||w||^2 are each
+    one real product over their float views (``_re_inner``), and w is scaled
+    by the real 1/beta.  Every ``_LANCZOS_CHECK`` steps, at step m and when
+    w vanishes or overflows, ``_ritz_check`` drops the shifts that are done,
+    which report the top Ritz value; overflowing solves give 0.  Only a
+    check that drops a shift compresses the blocks and asks ``solver`` for
+    the remaining run.  A shift still running after 4 m steps raises
+    NumericalFailureError."""
     q0 = _start(m)
     chunk = max(1, _BATCH_ENTRIES // m)
     out = np.zeros(count)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, count, chunk):
             run = np.arange(start, min(start + chunk, count))  # unfinished shifts
+            solve = solver(run)
             q = np.repeat(q0[:, None], len(run), 1).astype(complex)
             q_prev, b = np.zeros_like(q), 0.0
             alpha, beta = [], []  # per step, over the shifts in run
             for n in range(1, 4 * m + 1):  # n steps taken at the end of the body
-                w = solve(q, run)
+                w = np.ascontiguousarray(solve(q))
                 q_prev *= b
                 w -= q_prev  # q_prev is scratch from here on
-                a = np.einsum("ms,ms->s", np.conjugate(q, out=q_prev), w).real
+                a = _re_inner(q, w)
                 w -= np.multiply(q, a, out=q_prev)
-                np.multiply(np.conjugate(w, out=q_prev), w, out=q_prev)
-                b = np.sqrt(q_prev.real.sum(0))  # the 2-norms
+                b = np.sqrt(_re_inner(w, w))  # the 2-norms
                 alpha.append(a)
                 beta.append(b)
                 ok = np.isfinite(b)
@@ -371,9 +390,13 @@ def _lanczos(m, count, solve):
                     keep[ok] = ~conv
                     if not keep.any():
                         break
-                    alpha, beta = list(alpha[:, keep]), list(beta[:, keep])
-                    run, q, w, b = run[keep], q[:, keep], w[:, keep], b[keep]
-                q_prev, q = q, np.divide(w, b, out=w)
+                    if not keep.all():  # compress() keeps the blocks C-ordered
+                        alpha, beta = alpha[:, keep], beta[:, keep]
+                        run, q, w, b = run[keep], q.compress(keep, 1), w.compress(keep, 1), b[keep]
+                        del solve  # the old run's solve, freed before the new one is made
+                        solve = solver(run)
+                    alpha, beta = list(alpha), list(beta)
+                q_prev, q = q, np.multiply(w, 1.0 / b, out=w)
             else:  # 4 m is a multiple of _LANCZOS_CHECK, so the last step was checked
                 raise NumericalFailureError(f"Lanczos for sigma_min left {len(run)} of {count} "
                                             f"shifts unconverged after {4 * m} steps (m = {m})")
@@ -392,9 +415,13 @@ def _sigma_min_sparse(B, zs):
     out = np.zeros(len(zs))
     idx, lus, fill = [], [], 0  # a group not yet run: its shifts, their factors and entries
 
-    def solve(q, run):
-        return np.concatenate([lus[r].solve(lus[r].solve(q[:, j:j + 1], trans="H"))
-                               for j, r in enumerate(run.tolist())], axis=1)
+    def solver(run):
+        factors = [lus[r] for r in run.tolist()]
+
+        def solve(q):
+            return np.concatenate([lu.solve(lu.solve(q[:, j:j + 1], trans="H"))
+                                   for j, lu in enumerate(factors)], axis=1)
+        return solve
 
     for i, z in enumerate(zs.tolist()):
         try:  # only lus holds a factor, so the factors are freed with their group
@@ -406,7 +433,7 @@ def _sigma_min_sparse(B, zs):
             idx.append(i)
             fill += lus[-1].nnz
         if idx and (fill >= _BATCH_ENTRIES or i == len(zs) - 1):
-            out[idx] = _lanczos(m, len(idx), solve)
+            out[idx] = _lanczos(m, len(idx), solver)
             idx, lus, fill = [], [], 0
     return out
 
@@ -415,7 +442,10 @@ def _sigma_min_schur(B, zs):
     """sigma_min(B - z) of a dense block B for a 1-D array of shifts:
     ``_lanczos`` on (T - z)^{-1} (T - z)^{-H}, T being B's complex Schur
     factor, each solve two loops over the rows of T vectorised across the
-    shifts.  A shift on a diagonal entry of T (an exact zero pivot) gives 0."""
+    shifts.  Each run of shifts ``_lanczos`` asks for gets its reciprocal
+    pivots 1/(t_ii - z) once, and each row is updated in place,
+    y_i -= T_row . y, then y_i *= 1/(t_ii - z): a step divides no row.
+    A shift on a diagonal entry of T (an exact zero pivot) gives 0."""
     import scipy.linalg as sla
 
     T = sla.schur(B, output="complex")[0]
@@ -426,17 +456,24 @@ def _sigma_min_schur(B, zs):
     out = np.zeros(len(zs))
     todo = np.flatnonzero((diag != zs).all(0))
 
-    def solve(q, run):
-        d = diag - zs[todo[run]]
-        y = q.conj()  # y = (T - z)^{-H} q from (T - z)^T conj(y) = conj(q)
-        for i in range(m):
-            y[i] = (y[i] - lower[i] @ y[:i]) / d[i]
-        np.conjugate(y, out=y)
-        for i in range(m - 1, -1, -1):  # then (T - z)^{-1} y, in place
-            y[i] = (y[i] - upper[i] @ y[i + 1:]) / d[i]
-        return y
+    def solver(run):
+        r = 1.0 / (diag - zs[todo[run]])  # the reciprocal pivots, once per run
 
-    out[todo] = _lanczos(m, len(todo), solve)
+        def solve(q):
+            y = q.conj()  # y = (T - z)^{-H} q from (T - z)^T conj(y) = conj(q)
+            for i in range(m):
+                yi = y[i]
+                yi -= lower[i] @ y[:i]
+                yi *= r[i]
+            np.conjugate(y, out=y)
+            for i in range(m - 1, -1, -1):  # then (T - z)^{-1} y, in place
+                yi = y[i]
+                yi -= upper[i] @ y[i + 1:]
+                yi *= r[i]
+            return y
+        return solve
+
+    out[todo] = _lanczos(m, len(todo), solver)
     return out
 
 
@@ -444,8 +481,11 @@ def _sigma_min_dense(B, zs):
     """sigma_min(B - z) of a dense m x m block B for a 1-D array of shifts:
     one SVD call per chunk of max(1, ``_BATCH_ENTRIES`` // m^2) shifts, so a
     chunk's shifted copies hold at most ``_BATCH_ENTRIES`` entries.  Each
-    matrix takes the LAPACK call a lone shift would."""
+    matrix takes the LAPACK call a lone shift would.  A 1 x 1 block gives
+    |b - z| in closed form."""
     m = len(B)
+    if m == 1:  # sigma_min(b - z) = |b - z|
+        return np.abs(B[0, 0] - zs)
     chunk = max(1, _BATCH_ENTRIES // (m * m))
     eye = np.eye(m)
     out = np.empty(len(zs))

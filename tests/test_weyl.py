@@ -520,6 +520,32 @@ def test_lanczos_step_bound_is_a_typed_failure(monkeypatch):
         weyl._sigma_min_schur(T, np.array([0.3 + 0.2j, -1.0]))
 
 
+def test_lanczos_does_not_depend_on_the_solve_layout(monkeypatch):
+    # _lanczos reads its blocks through float views, which need C order:
+    # solves that return Fortran-ordered blocks give the same bits, on the
+    # Schur engine (with compressions, davies m = 51) and on SuperLU (m = 151)
+    from dcspec import weyl
+
+    re, im = np.meshgrid(np.linspace(0, 3, 20), np.linspace(-0.5, 2, 15))
+    zs = (re + 1j * im).ravel()
+    dense, sparse = (dc.quantize_quadratic(davies_form(1.0), dc.HermiteTruncation(1, N, 0.05))
+                     for N in (100, 300))
+    runs = [(weyl._sigma_min_schur, dense.blocks[0][1], zs),
+            (weyl._sigma_min_sparse, sparse.blocks[0][1], zs[::75])]
+    want = [engine(b, z) for engine, b, z in runs]
+    lanczos = weyl._lanczos
+
+    def fortran(solver):
+        def make(run):
+            solve = solver(run)
+            return lambda q: np.asfortranarray(solve(q))
+        return make
+
+    monkeypatch.setattr(weyl, "_lanczos", lambda m, count, solver: lanczos(m, count, fortran(solver)))
+    for (engine, b, z), w in zip(runs, want):
+        assert engine(b, z).tolist() == w.tolist()
+
+
 def _hard_triangles(rng, m):
     """Upper triangular test matrices of size m: random, Jordan, column-graded
     and nearly normal."""
