@@ -270,25 +270,26 @@ def region_svg(outer, inner, rexc, lattice):
 def heat_svg(re_axis, im_axis, L):
     """The grid of ``pseudospectrum_grid``, L[i, j] at re_axis[j] + i im_axis[i],
     as a deterministic SVG document; darker is larger, infinite is black.  A cell
-    sits at the rank of its coordinates among the distinct axis values."""
+    sits at the rank of its coordinates among the distinct axis values.  Each
+    distinct x, y and shade is formatted once."""
     res, col = np.unique(re_axis, return_inverse=True)
     ims, row = np.unique(im_axis, return_inverse=True)
-    finite = L[np.isfinite(L)]
+    ok = np.isfinite(L)
+    finite = L[ok]
     lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     span = hi - lo if hi > lo else 1.0
     w = SVG_SIZE / max(len(res), 1)
     hh = SVG_SIZE / max(len(ims), 1)
-    parts = []
-    for i, j in np.ndindex(L.shape):
-        v = float(L[i, j])
-        t = 1.0 if not math.isfinite(v) else (v - lo) / span
-        shade = int(round(255 * (1.0 - t)))
-        x = int(col[j]) * w
-        y = (len(ims) - 1 - int(row[i])) * hh
-        parts.append(
-            f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" height="{hh:.6g}" '
-            f'fill="#{shade:02x}{shade:02x}{shade:02x}"/>'
-        )
+    # rint rounds halves to even, as round() does
+    shade = np.rint(255 * (1.0 - np.where(ok, (L - lo) / span, 1.0))).astype(int)
+    shades, which = np.unique(shade, return_inverse=True)
+    fills = [f"#{s:02x}{s:02x}{s:02x}" for s in shades.tolist()]
+    xs = [f"{c * w:.6g}" for c in range(len(res))]
+    ys = [f"{(len(ims) - 1 - r) * hh:.6g}" for r in range(len(ims))]
+    size = f'width="{w:.6g}" height="{hh:.6g}"'
+    parts = [f'<rect x="{xs[c]}" y="{ys[r]}" {size} fill="{fills[k]}"/>'
+             for r, ks in zip(row.tolist(), which.reshape(L.shape).tolist())
+             for c, k in zip(col.tolist(), ks)]
     return _svg_document(parts)
 
 

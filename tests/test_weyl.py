@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import types
 from importlib import resources
 
 import hypothesis.extra.numpy as hnp
@@ -520,6 +521,26 @@ def test_lanczos_step_bound_is_a_typed_failure(monkeypatch):
         weyl._sigma_min_schur(T, np.array([0.3 + 0.2j, -1.0]))
 
 
+def test_schur_form_failure_is_typed_and_form_matches_scipy(monkeypatch):
+    # the Schur engine takes T from LAPACK zgees without Schur vectors,
+    # the T of scipy.linalg.schur bit for bit; a zgees that reports
+    # info != 0 raises NumericalFailureError (exit code 3)
+    import scipy.linalg as sla
+    from scipy.linalg import lapack
+
+    from dcspec import weyl
+    from dcspec.errors import NumericalFailureError
+
+    op, _ = _engine_op("dense")
+    B = op.blocks[0][1]
+    T = lapack.zgees(lambda t: None, B, compute_v=0)[0]
+    assert np.array_equal(T, sla.schur(B, output="complex")[0])
+    zgees = lapack.zgees
+    monkeypatch.setattr(lapack, "zgees", lambda *a, **k: (*zgees(*a, **k)[:-1], 2))
+    with pytest.raises(NumericalFailureError, match="info = 2"):
+        weyl._sigma_min_schur(B, np.array([0.3 + 0.2j]))
+
+
 def test_lanczos_does_not_depend_on_the_solve_layout(monkeypatch):
     # _lanczos reads its blocks through float views, which need C order:
     # solves that return Fortran-ordered blocks give the same bits, on the
@@ -703,6 +724,131 @@ def test_dense_engine_array_equals_scalar_calls_across_chunks():
         assert isinstance(empty, np.ndarray) and empty.shape == shape
 
 
+def _engine_runs(monkeypatch):
+    """Wrap every sigma_min engine so that it records the blocks it runs on;
+    returns that list."""
+    from dcspec import weyl
+
+    ran = []
+    for name, run in list(weyl._ENGINES.items()):
+        def spy(b, zs, run=run):
+            ran.append(b)
+            return run(b, zs)
+        monkeypatch.setitem(weyl._ENGINES, name, spy)
+    return ran
+
+
+def _stand_in_op(blocks, memo=None, indices=None):
+    """An object with the two attributes ``_sigma_min`` reads: ``blocks``, as
+    (basis indices, block) pairs, the indices [i] for block i unless given,
+    and ``_sigma_memo``."""
+    indices = [[i] for i in range(len(blocks))] if indices is None else indices
+    return types.SimpleNamespace(blocks=[(np.array(i), b) for i, b in zip(indices, blocks)],
+                                 _sigma_memo=memo)
+
+
+def _engine_min(blocks, zs):
+    """The smallest of the blocks' engine arrays: ``_sigma_min`` with no
+    block skipped."""
+    from dcspec.weyl import _ENGINES, _engine
+
+    return np.min([_ENGINES[_engine(b, zs.size)](b, zs) for b in blocks], axis=0)
+
+
+def test_sigma_min_runs_a_block_that_ties_the_minimum(monkeypatch):
+    # X^T - z has the singular values of X - z.  After a 1 x 1 block far
+    # from z0 and X, the running minimum at z0 is X's value, which X^T ties
+    # to the rounding of its SVD; at the other shifts, 100 away and within
+    # 8 of the 1 x 1 block, X^T lies far above the minimum.  z0 comes last,
+    # in the certificate's second chunk of shifts.  A tie is within the
+    # certificate's margins delta and kappa, so X^T takes its SVDs, and
+    # sigma_min is the smallest of the engines' arrays bit for bit (without
+    # the margins, about a quarter of these X^T would be skipped, and some
+    # of those change its bits)
+    from dcspec.weyl import _BATCH_ENTRIES, _sigma_min
+
+    ran = _engine_runs(monkeypatch)
+    rng = np.random.default_rng(12)
+    for m in [2, 3, 5, 8, 13, 19] * 4:
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        z0 = complex(*rng.uniform(-1, 1, 2))
+        far = z0 + 100 + 1e-3j * np.arange(max(1, _BATCH_ENTRIES // (m * m)))
+        zs = np.r_[far, z0]
+        blocks = [np.array([[z0 + 100 - 1e-6]]), X, X.T.copy()]
+        ran.clear()
+        got = _sigma_min(_stand_in_op(blocks), zs)
+        assert any(b is blocks[2] for b in ran)
+        assert got.tolist() == _engine_min(blocks, zs).tolist()
+
+
+def test_sigma_min_uses_a_stored_bound_only_below_the_minimum(monkeypatch):
+    # a call that skips a block keeps the running minimum there as a lower
+    # bound.  A later call with the same earlier blocks skips the block on
+    # that bound, with no certificate.  One whose earlier block (on other
+    # basis indices, as a straddling block of a finer level) leaves a
+    # minimum above the bound runs the block, whose values lie between the
+    # two: the bound neither skips it nor enters the minimum
+    from dcspec import weyl
+
+    ran = _engine_runs(monkeypatch)
+    tested = []
+    exceeds = weyl._exceeds
+    monkeypatch.setattr(weyl, "_exceeds", lambda b, *a: tested.append(b) or exceeds(b, *a))
+    B = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
+    low, high = np.array([[0.1]], dtype=complex), 5.0 * np.eye(2, dtype=complex)
+    zs = np.array([0.0, 0.2 + 0.1j])
+    memo = {}
+    for runs, tests in [([low], [B]), ([], [])]:  # then low comes from the memo
+        ran.clear()
+        tested.clear()
+        got = weyl._sigma_min(_stand_in_op([low, B], memo), zs)
+        assert [id(b) for b in ran] == list(map(id, runs))
+        assert [id(b) for b in tested] == list(map(id, tests))
+        assert got.tolist() == np.abs(0.1 - zs).tolist() == _engine_min([low, B], zs).tolist()
+    ran.clear()
+    tested.clear()
+    got = weyl._sigma_min(_stand_in_op([high, B], memo, [[0, 2], [1]]), zs)
+    assert [id(b) for b in ran] == [id(high), id(B)] and [id(b) for b in tested] == [id(B)]
+    assert got.tolist() == weyl._sigma_min_dense(B, zs).tolist() == _engine_min([high, B], zs).tolist()
+    assert (np.abs(0.1 - zs) < got).all() and (got < weyl._sigma_min_dense(high, zs)).all()
+
+
+def test_sigma_min_equals_the_engines_on_dense_operators(monkeypatch):
+    # every bundled symbol with blocks the dense engine takes at few shifts,
+    # and seeded random forms: sigma_min equals the smallest of the blocks'
+    # engine arrays bit for bit, at 1, 3 and 12 shifts on and near the low
+    # eigenvalues and across the low spectrum, while the certificate skips
+    # some blocks (the large kfp shells)
+    from conftest import seeded_form
+    from dcspec.weyl import _sigma_min
+
+    cases = [(parse_symbol_spec(name), N, h) for name, N, h in [
+        ("kfp.json", 36, 0.1), ("wedge_model.json", 20, 0.1), ("family_beta.json", 12, 0.1),
+        ("family_elliptic.json", 12, 0.1), ("family_degenerate.json", 12, 0.1),
+        ("davies.json", 100, 0.05)]]
+    cases += [(seeded_form(1, seed), 60, 0.2) for seed in range(3)]
+    cases += [(seeded_form(2, seed), 14, 0.2) for seed in range(3)]
+    ran = _engine_runs(monkeypatch)
+    rng = np.random.default_rng(13)
+    skipped = []
+    for q, N, h in cases:
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+        blocks = [b for _, b in op.blocks]
+        ev = dc.spectrum_truncated(op, 8)
+        near = ev + 0.1 * np.abs(ev).max() * (rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8))
+        box = [(ev.real.min(), ev.real.max()), (ev.imag.min() - 1, ev.imag.max() + 1)]
+        across = rng.uniform(*box[0], 8) + 1j * rng.uniform(*box[1], 8)
+        skipped.append(0)
+        for zs in [ev[:1], near[:1], across[:1], np.r_[ev[:1], near[1:3]], across[1:4],
+                   np.r_[ev[1:3], near[3:8], across[3:8]]]:
+            assert _largest_block_engine(op, len(zs)) == "dense"
+            ran.clear()
+            got = _sigma_min(op, zs)
+            skipped[-1] += len(blocks) - len(ran)
+            assert got.tolist() == _engine_min(blocks, zs).tolist()
+    assert all(skipped)
+
+
 def test_dense_engine_memory_is_a_few_batches():
     # the harmonic oscillator, d = 1, N = 255: 256 blocks of size 1, each one
     # engine call; 5000 shifts in one call (10 MB if every block's values
@@ -729,24 +875,33 @@ def test_dense_engine_memory_is_a_few_batches():
 
 def _probe_levels(q, monkeypatch):
     """probe_theorem's rows, and each resolvent_norm call it makes as
-    [h, degree, shifts, norms, sizes of the blocks the engines computed,
-    number of blocks]."""
+    [h, degree, shifts, norms, sizes of the blocks ``_engine`` was asked
+    about, sizes of the blocks an engine ran on, sizes of the matrices
+    each SVD call took, number of blocks]."""
     from dcspec import weyl
 
     levels = []
-    norm, engine = weyl.resolvent_norm, weyl._engine
+    norm, engine, svd = weyl.resolvent_norm, weyl._engine, np.linalg.svd
+    ran = _engine_runs(monkeypatch)
 
     def spy_norm(op, z):
-        levels.append([op.trunc.h, op.trunc.degree, np.array(z), None, [], len(op.blocks)])
+        levels.append([op.trunc.h, op.trunc.degree, np.array(z), None, [], [], [], len(op.blocks)])
+        ran.clear()
         levels[-1][3] = norm(op, z)
+        levels[-1][5] = [len(b) for b in ran]
         return levels[-1][3]
 
     def spy_engine(block, shifts):
         levels[-1][4].append(block.shape[0])
         return engine(block, shifts)
 
+    def spy_svd(a, *args, **kwargs):
+        levels[-1][6].append(a.shape[-1])
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(weyl, "resolvent_norm", spy_norm)
     monkeypatch.setattr(weyl, "_engine", spy_engine)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
     rows, *_ = dc.probe_theorem(q, [0.2, 0.1], 0.15, 10.0, samples=5, seed=0)
     monkeypatch.undo()
     return rows, levels
@@ -755,7 +910,7 @@ def _probe_levels(q, monkeypatch):
 def _assert_levels_match_fresh_calls(q, rows, levels):
     # every level equals a fresh call on an operator with no memo, and the
     # rows carry each h's last level
-    for h, degree, zs, norms, _, _ in levels:
+    for h, degree, zs, norms, *_ in levels:
         op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, degree, h))
         assert norms.tolist() == dc.resolvent_norm(op, zs).tolist()
     for h in {lv[0] for lv in levels}:
@@ -765,26 +920,30 @@ def _assert_levels_match_fresh_calls(q, rows, levels):
 
 def test_probe_theorem_reuses_kfp_shells(kfp, monkeypatch):
     # kfp splits into degree shells, and shell j is the same matrix at every
-    # degree >= j: a finer level computes only its 10 new shells (sizes
-    # N + 2 to N + 11 after degree N), and its norms keep their bits
+    # degree >= j: a finer level visits only its 10 new shells (sizes
+    # N + 2 to N + 11 after degree N), and its norms keep their bits; a
+    # visited shell that the Cholesky certificate skips takes no SVD, and
+    # the large shells are skipped so
     rows, levels = _probe_levels(kfp, monkeypatch)
     assert len(levels) >= 4
     prev = {}
-    for h, degree, _, _, computed, nblocks in levels:
+    for h, degree, _, _, visited, ran, svd, nblocks in levels:
         assert nblocks == degree + 1
-        start = prev.get(h, -1) + 1  # the first level at an h computes every shell
-        assert sorted(computed) == list(range(start + 1, degree + 2))
+        start = prev.get(h, -1) + 1  # the first level at an h visits every shell
+        assert sorted(visited) == list(range(start + 1, degree + 2))
+        certified = set(visited) - set(ran)
+        assert certified and not certified & set(svd)
         prev[h] = degree
     _assert_levels_match_fresh_calls(kfp, rows, levels)
 
 
 def test_probe_theorem_recomputes_straddling_blocks(davies, monkeypatch):
     # davies's parity blocks at degree N + 10 reach past the degree-N basis,
-    # so no block is shared: every level computes all of its blocks
+    # so no block is shared: every level visits all of its blocks
     rows, levels = _probe_levels(davies, monkeypatch)
     assert len(levels) >= 4
-    for _, _, _, _, computed, nblocks in levels:
-        assert len(computed) == nblocks == 2
+    for _, _, _, _, visited, _, _, nblocks in levels:
+        assert len(visited) == nblocks == 2
     _assert_levels_match_fresh_calls(davies, rows, levels)
 
 
