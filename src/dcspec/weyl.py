@@ -19,11 +19,11 @@ for a generic symbol, 4 for ``wedge_model``, N + 1 for kfp, n for the
 harmonic oscillator).  sigma_min of a direct sum is the smallest of its
 summands' values, and the spectrum is the union of theirs.
 ``resolvent_norm`` computes 1/sigma_min(M - z) for a scalar or an array of
-shifts, with one finiteness check and one ||M||_F per call, as the smallest
-value over ``TruncatedWeylOperator.blocks``, one block at a time.  Every
-engine takes one block and the call's 1-D shifts and returns one value per
-shift.  ``_engine``, the one rule, picks per block and call from the block
-size m and the number of shifts k:
+shifts, with finiteness checks of z and M and one ||M||_F per call, as the
+smallest value over ``TruncatedWeylOperator.blocks``, one block at a time.
+Every engine takes one block and the call's 1-D shifts and returns one value
+per shift.  ``_engine``, the one rule, picks per block and call from the
+block size m and the number of shifts k:
 
 - "sparse", a block larger than ``DENSE_SVD_CUTOFF`` (110): each shift's
   B - z (B's stored diagonal moved) is factored with SuperLU, and groups of
@@ -43,20 +43,16 @@ size m and the number of shifts k:
 
 A block of m >= 2 bound for the "dense" engine, when the running minimum
 tau(z) of the blocks before it is finite at every shift, is first tested by
-``_exceeds``: one batched Cholesky factorization of (B - z)^H (B - z) - c I
-per chunk of shifts, c = (tau + delta)^2 + kappa with u = 2^-53, delta =
-m u ||B - z||_F (the SVD's own error) and kappa = 8 m^2 u ||B - z||_F^2 (the
-rounding of the Gram matrix and the factorization).  A factorization that
-completes proves positive definiteness (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., 2002, section 10.3), so the SVD would give a
-value >= tau at every shift, np.minimum would keep tau's bits, and the
-block's SVDs are skipped; if any factor fails, the block runs the engine.
-The output bytes are those of the engines alone.  At m = 20, 30 and 37
-and 10 shifts the test costs 0.06, 0.12 and 0.26 ms against 0.32, 0.70
-and 1.03 ms of SVDs (single-threaded, on the VM below), and it skips 73%
-of the multi-row kfp shells of a probe-theorem ladder (all of m >= 17).
-The "schur" and "sparse" engines never try it: at m = 51 and 1200 shifts
-it costs 0.046 ms a shift, the Schur engine 0.033 ms.
+``_exceeds``: one band Cholesky factorization of the Gram matrices
+(B - z)^H (B - z) - c I of a chunk of shifts, stacked along one diagonal.
+If it completes, the SVD would give a value >= tau at every shift, so the
+block's SVDs are skipped and the output bytes stay those of the engines.
+Every block is banded (kfp shells and davies blocks tridiagonal): at m = 20,
+30 and 37 and 10 shifts the test costs 0.06, 0.08 and 0.08 ms against 0.31,
+0.61 and 0.91 ms of SVDs, and it skips 73% of the multi-row kfp shells of a
+probe-theorem ladder (all of m >= 17).  The "schur" and "sparse" engines
+never try it: at m = 51 and 1200 shifts it costs 0.002 ms a shift where it
+holds (the Schur engine 0.03 ms), but it fails on a grid across the spectrum.
 
 ``_lanczos``, one three-term recurrence with no stored basis, runs
 max(1, 2^15 // m) shifts at a time, so a vector block holds at most
@@ -131,8 +127,8 @@ SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-# complex entries per Lanczos vector block or chunk of shifted SVD copies,
-# and stored entries per group of SuperLU factors, which set the shifts a chunk
+# complex entries per Lanczos vector block or chunk of shifted matrices, and
+# stored entries per group of SuperLU factors, which set the shifts a chunk
 _BATCH_ENTRIES = 2**15
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
@@ -524,44 +520,56 @@ def _sigma_min_dense(B, zs):
 def _exceeds(B, zs, tau):
     """Whether the "dense" engine's value sigma_min(B - z) of an m x m block
     B (m >= 2) is >= tau(z) at every shift of the 1-D array ``zs``, proved
-    without an SVD: np.linalg.cholesky completes on the Gram matrices
-    A^H A - c I, A = B - z formed as the engine forms it and c = (tau +
-    delta)^2 + kappa, over the engine's chunks of shifts.  True only if every
-    factor exists; the first chunk with one that does not ends the test.
+    without an SVD in LAPACK lower band storage.  With b the largest |i - j|
+    of B's nonzero entries, A = B - z has the Gram matrix A^H A = B^H B -
+    z B^H - conj(z) B + |z|^2 I of kd = min(2 b, m - 1) lower diagonals,
+    those of B^H B formed once from B's band.  Per chunk of shifts (at most
+    ``_BATCH_ENTRIES`` band entries) one ``zpbtrf`` factors A^H A - c I,
+    c = (tau + delta)^2 + kappa, stacked along one diagonal with zero
+    couplings; True only if each completes with a finite factor (zpbtrf
+    returns info = 0 on NaN and inf entries).
 
-    With F = ||A||_F (from the trace of A^H A) and u = 2^-53:
+    With F = ||B||_F + sqrt(m) |z| >= ||A||_F and u = 2^-53, delta = m u F
+    bounds the engine's own error, |sigma_hat - sigma_min(A)| <= p(m) u ||A||_2
+    for a backward-stable SVD with p(m) <= m (p = 1 in the LAPACK Users'
+    Guide, 3rd ed., 1999, section 4.9), and kappa = 8 m^2 u F^2 the rounding
+    of the test in the 2-norm: sqrt(2) gamma_{m+2} F^2 for fl(B^H B) (at most
+    m nonzero terms per inner product; gamma_k = k u / (1 - k u)),
+    sqrt(2) gamma_5 F^2 for the sums with B^H and B, 8.5 u F^2 for c and for
+    |z|^2 - c on the diagonal (a completed factorization has c <= F^2
+    (1 + O(u))), and sqrt(2) gamma_{m+1} F^2 (1 + O(m u)) for the band
+    Cholesky factorization (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 10.3; at most kd + 1 <= m terms per
+    inner product, and zero couplings leave each shift's factor as a lone
+    factorization computes it).  These sum to (2 sqrt(2) (m + 4) + 9) u F^2
+    (1 + O(m u)) < kappa for m >= 2, so a completed factorization gives
+    sigma_min(A) >= tau + delta."""
+    from scipy.linalg.lapack import zpbtrf
 
-    - delta = m u F bounds the engine's own error, |sigma_hat - sigma_min(A)|
-      <= p(m) u ||A||_2 for a backward-stable SVD, p(m) a modestly growing
-      function taken here as at most m (the LAPACK Users' Guide, 3rd ed.,
-      1999, section 4.9, takes p = 1 in its error bounds).
-    - kappa = 8 m^2 u F^2 bounds the rounding of the test: fl(A^H A) is within
-      sqrt(2) gamma_{m+2} F^2 of A^H A in the 2-norm (complex inner products),
-      subtracting c rounds each diagonal entry by at most u F^2, forming c
-      by at most 4 u F^2, and a Cholesky factorization that completes is
-      exact for a matrix within sqrt(2) gamma_{m+1} F^2 (1 + O(m u)) of the
-      one factored (Higham, Accuracy and Stability of Numerical Algorithms,
-      2nd ed., 2002, section 10.3; gamma_k = k u / (1 - k u)).  These sum to
-      at most (2 sqrt(2) (m + 2) + 5) u F^2 (1 + O(m u)), below kappa for
-      every m >= 2.
-
-    So a completed factorization gives sigma_min(A)^2 >= c - kappa, that is
-    sigma_min(A) >= tau + delta, and the engine's value is >= tau."""
-    m = len(B)
-    u = np.finfo(float).eps / 2
-    chunk = max(1, _BATCH_ENTRIES // (m * m))
-    eye = np.eye(m)
-    diag = np.arange(m)
-    for start in range(0, len(zs), chunk):
-        A = B - zs[start:start + chunk, None, None] * eye
-        G = np.matmul(A.conj().transpose(0, 2, 1), A)
-        f2 = G[:, diag, diag].real.sum(1)  # ||A||_F^2
-        c = (tau[start:start + chunk] + m * u * np.sqrt(f2)) ** 2 + 8 * m * m * u * f2
-        G[:, diag, diag] -= c[:, None]
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:  # also a NaN or infinite entry
-            return False
+    m, u = len(B), np.finfo(float).eps / 2
+    i, j = np.nonzero(B)
+    v, o = B[i, j], i - j
+    b = int(np.abs(o).max(initial=0))
+    kd = min(2 * b, m - 1)
+    C = np.zeros((m + kd, kd + 2 * b + 1), complex)  # C[j, kd + r] = conj(B[j - b + r, j])
+    C[j, kd + b + o] = v.conj()
+    s0, s1 = C.strides  # V[j, d, r] = conj(B[j - b + r, j + d]), 0 outside B
+    V = np.lib.stride_tricks.as_strided(C[:, kd:], (m, kd + 1, 2 * b + 1), (s0, s0 - s1, s1))
+    S = np.zeros((3, m, kd + 1), complex)  # [j, d]: entry (j + d, j) of B^H B, B^H and B
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the finite test
+        S[0] = (V @ C[:m, kd:, None].conj())[:, :, 0]
+        S[1] = V[:, :, b]
+        S[2, j[o >= 0], o[o >= 0]] = v[o >= 0]
+        chunk = max(1, _BATCH_ENTRIES // (m * (kd + 1)))
+        for start in range(0, len(zs), chunk):
+            z = zs[start:start + chunk]
+            f = math.sqrt(S[0, :, 0].real.sum()) + math.sqrt(m) * np.abs(z)  # ||B||_F from B^H B
+            c = (tau[start:start + chunk] + m * u * f) ** 2 + 8 * m * m * u * f * f
+            G = np.stack([np.ones(len(z)), -z, -z.conj()], 1) @ S.reshape(3, -1)
+            G[:, ::kd + 1] += (z.real ** 2 + z.imag ** 2 - c)[:, None]
+            L, info = zpbtrf(G.reshape(-1, kd + 1).T, lower=1, overwrite_ab=1)
+            if info or not np.isfinite(L).all():
+                return False
     return True
 
 
@@ -585,15 +593,17 @@ def resolvent_norm(op, z):
     ``op.blocks``, each block by the engine ``_engine`` picks for it and
     the number of shifts; a block already in the operator's
     ``_sigma_memo`` (``probe_theorem``) is taken from there, and a
-    "dense" block that a Cholesky certificate proves cannot lower the
+    "dense" block that a band Cholesky certificate proves cannot lower the
     minimum at any shift is skipped (``_sigma_min``), which leaves every
     output bit as the engines alone give it.  Returns ``inf`` (the infinity
     signal) where sigma_min falls below 1e-14 * ||M||_F, i.e. where z is
-    numerically an eigenvalue.  A non-finite z raises DomainError.
+    numerically an eigenvalue.  A non-finite z or M raises DomainError.
     """
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise DomainError(f"z must be finite, got {z[~np.isfinite(z)].flat[0]}")
+    if not np.isfinite(op.matrix.data).all():
+        raise DomainError("the operator's matrix has a non-finite entry")
     floor = INFINITY_SIGMA_RTOL * max(float(np.linalg.norm(op.matrix.data)), 1e-300)
     smin = _sigma_min(op, z.ravel())
     out = np.array([math.inf if s < floor else 1.0 / s for s in smin.tolist()]).reshape(z.shape)

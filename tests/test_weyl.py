@@ -873,6 +873,109 @@ def test_dense_engine_memory_is_a_few_batches():
     assert peak <= 4 * _BATCH_ENTRIES * 16
 
 
+def _largest_block(q, N, h):
+    """The largest block of q's truncation at degree N."""
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
+    return max((b for _, b in op.blocks), key=len)
+
+
+def _random_block(m):
+    """A seeded complex m x m block with every entry nonzero."""
+    rng = np.random.default_rng(m)
+    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+
+# (block, bandwidth kind): 1, between 1 and m - 1, or m - 1
+_CERTIFICATE_BLOCKS = {
+    "kfp shell": (lambda: _largest_block(kfp_form(), 24, 0.1), "1"),  # m = 25
+    "davies": (lambda: _largest_block(davies_form(), 100, 0.05), "1"),  # m = 51
+    "wedge_model": (lambda: _largest_block(parse_symbol_spec("wedge_model.json"), 20, 0.1), "mid"),  # 66, b 11
+    "family_beta": (lambda: _largest_block(parse_symbol_spec("family_beta.json"), 12, 0.1), "mid"),  # 49, b 13
+    "random 2": (lambda: _random_block(2), "m - 1"),
+    "random 7": (lambda: _random_block(7), "m - 1"),
+    "random 20": (lambda: _random_block(20), "m - 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CERTIFICATE_BLOCKS))
+def test_exceeds_decides_as_the_svd_at_every_bandwidth(name):
+    # the band certificate on blocks of bandwidth 1, between 1 and m - 1,
+    # and m - 1, at 10 shifts (one chunk) where sigma_min >= 1e-3 ||B - z||_F,
+    # so that the margins delta and kappa cannot decide: tau = 0.999 x the
+    # SVD value at every shift is certified, and tau = 1.000001 x it at only
+    # the first or only the last shift, above the engine's value there, is
+    # not: the stacked factorization leaks nothing across shifts
+    from dcspec.weyl import _BATCH_ENTRIES, _exceeds, _sigma_min_dense
+
+    make, kind = _CERTIFICATE_BLOCKS[name]
+    B = make()
+    m = len(B)
+    i, j = np.nonzero(B)
+    b = np.abs(i - j).max()
+    assert {"1": b == 1, "mid": 1 < b < m - 1, "m - 1": b == m - 1}[kind]
+    assert _BATCH_ENTRIES // (m * (min(2 * b, m - 1) + 1)) >= 10
+    ev = np.linalg.eigvals(B)
+    rng = np.random.default_rng(m)
+    near = rng.choice(ev, 200) + np.abs(ev).max() * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
+    far = [np.linalg.norm(B - z * np.eye(m)) for z in near.tolist()]
+    zs = near[_sigma_min_dense(B, near) >= 1e-3 * np.array(far)][:10]
+    assert len(zs) == 10
+    sigma = _sigma_min_dense(B, zs)
+    tau = 0.999 * sigma
+    assert _exceeds(B, zs, tau)
+    for at in (0, -1):
+        above = tau.copy()
+        above[at] = 1.000001 * sigma[at]
+        assert not _exceeds(B, zs, above)
+
+
+def test_exceeds_never_certifies_an_overflowing_gram(monkeypatch):
+    # a kfp shell scaled by 1e200: its Gram matrix overflows, and zpbtrf
+    # returns info = 0 on the inf and NaN entries that leaves, so only the
+    # finite test on the factor fails the certificate.  The block then runs
+    # its SVDs, and sigma_min is the smallest of the engines' arrays bit for
+    # bit
+    from dcspec.weyl import _exceeds, _sigma_min, _sigma_min_dense
+
+    ran = _engine_runs(monkeypatch)
+    B = 1e200 * _largest_block(kfp_form(), 24, 0.1)
+    zs = np.array([0.3 + 0.1j, 1.0, 2.0 - 0.5j])
+    sigma = _sigma_min_dense(B, zs)
+    assert np.isfinite(sigma).all() and (sigma > 1e199).all()
+    assert not _exceeds(B, zs, np.ones(3))
+    blocks = [np.array([[1.0 + 0j]]), B]
+    ran.clear()
+    got = _sigma_min(_stand_in_op(blocks), zs)
+    assert [id(b) for b in ran] == [id(b) for b in blocks]
+    assert got.tolist() == _engine_min(blocks, zs).tolist()
+
+
+def test_exceeds_memory_is_linear_in_rows_and_shifts():
+    # the even parity block of davies N = 218 (h = 0.05) is tridiagonal,
+    # m = 110.  With 10 shifts the certificate holds the 3 lower diagonals of
+    # the 10 stacked pentadiagonal Gram matrices, a few complex entries per
+    # row and shift, and no m x m array: the bound, 16 entries per row and
+    # shift, is 16 m a shift against the m^2 = 110 m of a dense Gram matrix
+    import tracemalloc
+
+    from dcspec.weyl import _exceeds, _sigma_min_dense
+
+    B = _largest_block(davies_form(), 218, 0.05)
+    m = len(B)
+    i, j = np.nonzero(B)
+    assert m == 110 and not sp.issparse(B) and np.abs(i - j).max() == 1
+    zs = np.linspace(0.5, 3, 10) + 0.5j
+    tau = 0.5 * _sigma_min_dense(B, zs)
+    assert _exceeds(B, zs, tau)
+    tracemalloc.start()
+    try:
+        ok = _exceeds(B, zs, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and peak <= 16 * len(zs) * m * 16
+
+
 def _probe_levels(q, monkeypatch):
     """probe_theorem's rows, and each resolvent_norm call it makes as
     [h, degree, shifts, norms, sizes of the blocks ``_engine`` was asked
@@ -1299,3 +1402,22 @@ def test_non_finite_h_and_z_rejected(harmonic, davies):
         zs = np.array([[0.2, 0.25 + 0.1j], [complex(0.3, math.inf), 0.15]])
         with pytest.raises(DomainError):
             dc.resolvent_norm(op, zs)
+
+
+def test_non_finite_operator_rejected_before_any_engine(monkeypatch):
+    # a form with an infinite coefficient gives a matrix with non-finite
+    # entries; each engine would fail its own way on it (an SVD that does not
+    # converge, zgees's ValueError, a division by zero in SuperLU + Lanczos),
+    # so resolvent_norm raises DomainError before any of them runs
+    from dcspec.errors import DomainError
+
+    ran = _engine_runs(monkeypatch)
+    with np.errstate(all="ignore"):
+        q = dc.QuadraticForm(1, np.array([[math.inf, 0], [0, 1]]))
+        for N, shifts, engine in [(20, 3, "dense"), (60, 1300, "schur"), (300, 1, "sparse")]:
+            op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, N, 0.1))
+            assert not np.isfinite(op.matrix.data).all()
+            assert _largest_block_engine(op, shifts) == engine
+            with pytest.raises(DomainError):
+                dc.resolvent_norm(op, np.linspace(0.1, 2, shifts) + 0.3j)
+    assert ran == []
