@@ -52,14 +52,7 @@ from .fbi import (
     phase_of_kappa,
     phi_weight,
 )
-from .weyl import (
-    LEVEL_GAP,
-    HermiteTruncation,
-    probe_theorem,
-    pseudospectrum_grid,
-    quantize_quadratic,
-    resolvent_norm,
-)
+from .weyl import coarse_degree, level_pair, probe_theorem, pseudospectrum_grid
 
 QUADRATIC_PROBE_NOTE = (
     "probe uses purely quadratic symbols at desk scale; "
@@ -411,16 +404,6 @@ def _parse_floats(text, count, flag):
         raise SymbolSchemaError(f"{flag}: {exc}") from exc
 
 
-def _coarse_degree(N):
-    """Truncation degree of the two-level convergence report, strictly below N.
-
-    ``LEVEL_GAP`` levels below N, but not under 4 unless N itself is at most 4.
-    """
-    if N < 1:
-        raise DomainError(f"--N must be >= 1 to have a coarser level, got {N}")
-    return max(min(4, N - 1), N - LEVEL_GAP)
-
-
 def _grid_counts(values, flag):
     """Grid point counts of a CLI flag as ints; each must be an integer >= 1."""
     if not all(float(v).is_integer() and v >= 1 for v in values):
@@ -430,16 +413,11 @@ def _grid_counts(values, flag):
 
 def _cmd_pseudospectrum(args):
     q = parse_symbol_spec(args.symbol)
-    coarse_n = _coarse_degree(args.N)
+    coarse_n = coarse_degree(args.N)
     window = _parse_floats(args.window, 4, "--window")
     n_re, n_im = _grid_counts(_parse_floats(args.res, 2, "--res"), "--res")
-    op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
-    re_axis, im_axis, grid = pseudospectrum_grid(op, window, (n_re, n_im))
-    # every result before the first write, so a failure leaves no partial output
-    op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
-    _, _, grid2 = pseudospectrum_grid(op2, window, (n_re, n_im))
-    both = np.isfinite(grid) & np.isfinite(grid2)
-    max_change = float(np.max(np.abs(grid[both] - grid2[both]))) if both.any() else math.inf
+    # both levels before the first write, so a failure leaves no partial output
+    re_axis, im_axis, grid, max_change = pseudospectrum_grid(q, args.h, args.N, window, (n_re, n_im))
     columns = [np.tile(re_axis, n_im), np.repeat(im_axis, n_re), grid.ravel()]
     _write_csv(args.out, ["re", "im", "log10norm"], columns)
     if args.svg:
@@ -459,20 +437,14 @@ def _cmd_pseudospectrum(args):
 def _cmd_resolvent(args):
     q = parse_symbol_spec(args.symbol)
     zre, zim = _parse_floats(args.z, 2, "--z")
-    z = complex(zre, zim)
-    coarse_n = _coarse_degree(args.N)
-    op = quantize_quadratic(q, HermiteTruncation(q.dim, args.N, args.h))
-    norm = resolvent_norm(op, z)
-    op2 = quantize_quadratic(q, HermiteTruncation(q.dim, coarse_n, args.h))
-    norm2 = resolvent_norm(op2, z)
-    finite = math.isfinite(norm)  # norm > 0, so rel needs only both norms finite
-    rel = abs(norm - norm2) / norm if finite and math.isfinite(norm2) else math.inf
+    coarse_n = coarse_degree(args.N)
+    norm, _, rel = level_pair(q, args.h, args.N, complex(zre, zim))
     _emit_json(
         {
             "z": [zre, zim],
             "norm": norm,
             "log10norm": math.log10(norm),
-            "finite": finite,
+            "finite": math.isfinite(norm),
             "N": args.N,
             "N_coarse": coarse_n,
             "rel_change": rel,

@@ -6,7 +6,7 @@ closed form from the normal-ordered ladder terms of the symbol, each of which
 sends a basis vector to one basis vector with a factor sqrt(integer).
 Eigenvalues of the truncation inside the numerical range of a strongly
 non-normal symbol can be spurious; spectra and resolvent norms should
-always be compared across two truncation levels.
+always be compared across two truncation levels (``level_pair``).
 
 ``TruncatedWeylOperator.matrix`` is a scipy sparse CSC matrix (0.4% of its
 entries are nonzero for kfp at N = 36, basis size 703).  A quadratic symbol
@@ -115,6 +115,8 @@ __all__ = [
     "quantize_quadratic",
     "spectrum_truncated",
     "resolvent_norm",
+    "coarse_degree",
+    "level_pair",
     "pseudospectrum_grid",
     "scaling_check",
     "suggested_degree",
@@ -176,13 +178,10 @@ class TruncatedWeylOperator:
     """Galerkin matrix of a Weyl operator as a scipy sparse CSC matrix.
 
     ``_sigma_memo``, when not None, is a dict shared by truncations of one
-    symbol at one h (``probe_theorem``): ``resolvent_norm`` keeps each
-    block's sigma_min array there under (basis indices, shifts) and does not
-    recompute a block it finds.  A block the Cholesky certificate skipped
-    is kept under (basis indices, shifts, "lower bound") as the running
-    minimum it was tested against, a lower bound on its values; a later
-    call skips the block on it only where its own running minimum is <= the
-    bound at every shift, and the bound never enters a minimum."""
+    symbol at one h (``level_pair``): ``_sigma_min`` keeps each block's
+    sigma_min array there under (basis indices, shifts), and the lower bound
+    of a block the Cholesky certificate skipped under (basis indices,
+    shifts, "lower bound"), as its docstring says."""
 
     trunc: HermiteTruncation
     matrix: sp.csc_matrix = field(repr=False)
@@ -592,7 +591,7 @@ def resolvent_norm(op, z):
     an array of its shape.  Each shift takes the smallest sigma_min over
     ``op.blocks``, each block by the engine ``_engine`` picks for it and
     the number of shifts; a block already in the operator's
-    ``_sigma_memo`` (``probe_theorem``) is taken from there, and a
+    ``_sigma_memo`` (``level_pair``) is taken from there, and a
     "dense" block that a band Cholesky certificate proves cannot lower the
     minimum at any shift is skipped (``_sigma_min``), which leaves every
     output bit as the engines alone give it.  Returns ``inf`` (the infinity
@@ -647,12 +646,53 @@ def _sigma_min(op, zs):
     return smin
 
 
-def pseudospectrum_grid(op, window, resolution):
-    """log10 resolvent norms over a rectangular grid.
+def coarse_degree(N):
+    """Truncation degree of the two-level convergence check: ``LEVEL_GAP``
+    below N, but not under 4 unless N itself is at most 4, so always below N."""
+    if N < 1:
+        raise DomainError(f"--N must be >= 1 to have a coarser level, got {N}")
+    return max(min(4, N - 1), N - LEVEL_GAP)
+
+
+def level_pair(q, h, N, z, memo=None):
+    """``resolvent_norm`` at z of q's truncations at degree N and at
+    ``coarse_degree(N)``, as (norms, coarse_norms, rel_change), rel_change
+    being the largest |norm - coarse| / norm over the shifts finite at both
+    levels, or inf if there is none.
+
+    The levels sit on nested graded bases, so the coarser matrix is the
+    leading submatrix of the finer one, and a block of the finer operator
+    inside the coarser basis is a block of the coarser one with the same
+    entries: all N + 1 degree shells of kfp at degree N reappear at
+    N + ``LEVEL_GAP``, while davies and wedge_model blocks straddle the
+    coarser basis.  Both levels take ``memo`` (a new dict if None) as their
+    ``_sigma_memo``, the coarser first, so a shared block is computed, or
+    certified not to lower the minimum, once, with the bits a fresh call
+    gives; each level applies its own infinity floor.
+    """
+    memo = {} if memo is None else memo
+
+    def norms_at(n):
+        op = quantize_quadratic(q, HermiteTruncation(q.dim, n, h))
+        return resolvent_norm(replace(op, _sigma_memo=memo), z)
+
+    coarse = norms_at(coarse_degree(N))
+    norms = norms_at(N)
+    n, c = np.asarray(norms), np.asarray(coarse)  # 0-d for a scalar z
+    ok = np.isfinite(n) & np.isfinite(c)
+    rel = float(np.max(np.abs(n[ok] - c[ok]) / n[ok])) if ok.any() else math.inf
+    return norms, coarse, rel
+
+
+def pseudospectrum_grid(q, h, N, window, resolution):
+    """log10 resolvent norms of q's truncation at degree N over a grid, and
+    their largest change from the coarser level of ``level_pair``.
 
     ``window`` is (re0, re1, im0, im1) and ``resolution`` (n_re, n_im).
-    Returns (re_axis, im_axis, L) with L[i_im, i_re]; infinity signals
-    propagate as +inf entries.  A non-finite window value raises DomainError.
+    Returns (re_axis, im_axis, L, max_log10_change) with L[i_im, i_re];
+    infinity signals propagate as +inf entries, which the change skips (inf
+    if no point is finite at both levels).  A non-finite window value raises
+    DomainError.
     """
     if not all(math.isfinite(v) for v in window):
         raise DomainError(f"window must be finite, got {list(window)}")
@@ -662,9 +702,14 @@ def pseudospectrum_grid(op, window, resolution):
     im_axis = np.linspace(im0, im1, n_im)
     zs = np.empty((n_im, n_re), dtype=complex)
     zs.real, zs.imag = re_axis, im_axis[:, None]
-    norms = resolvent_norm(op, zs).ravel().tolist()
-    L = [math.log10(v) if math.isfinite(v) else math.inf for v in norms]
-    return re_axis, im_axis, np.array(L).reshape(zs.shape)
+    norms, coarse, _ = level_pair(q, h, N, zs)
+    L, L_coarse = (
+        np.array([math.log10(v) if math.isfinite(v) else math.inf for v in a.ravel().tolist()]).reshape(zs.shape)
+        for a in (norms, coarse)
+    )
+    both = np.isfinite(L) & np.isfinite(L_coarse)
+    change = float(np.max(np.abs(L[both] - L_coarse[both]))) if both.any() else math.inf
+    return re_axis, im_axis, L, change
 
 
 def scaling_check(q, h, h2, degree, fraction=0.25):
@@ -704,20 +749,10 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
     """Resolvent norms at admissible points across an h-ladder, with fit.
 
     For each h the truncation degree starts at the energy-cutoff suggestion
-    and grows by ``LEVEL_GAP`` until the sampled norms agree with the next
-    level to PROBE_CONVERGE_RTOL, for at most PROBE_MAX_ROUNDS increases;
-    the returned rows use the finer level.  The fit is the least-squares slope
-    of log norm against log(1/h).
-
-    The levels at one h are Galerkin matrices of one symbol on nested graded
-    bases, so the coarser matrix is the leading submatrix of the finer one,
-    and a block of the finer operator whose basis indices all lie in the
-    coarser basis is a block of the coarser one with the same entries (all
-    N + 1 degree shells of kfp at degree N reappear at N + ``LEVEL_GAP``).  The levels
-    share a ``_sigma_memo``, so such a block's sigma_min is computed, or
-    certified not to lower the minimum, once, with the bits a fresh call
-    gives; each level applies its own infinity floor.  A symbol whose
-    blocks straddle the coarser basis (davies, wedge_model) shares none.
+    and grows by ``LEVEL_GAP`` until ``level_pair``, with one memo per h,
+    finds the sampled norms within PROBE_CONVERGE_RTOL of the level below,
+    for at most PROBE_MAX_ROUNDS increases; the returned rows use the finer
+    level.  The fit is the least-squares slope of log norm against log(1/h).
     """
     if samples < 1 or seed < 0:
         raise DomainError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
@@ -731,18 +766,9 @@ def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safet
         zs = sample_admissible(region, spec, samples, rng)
         degree = suggested_degree(region.outer_radius, h, q.dim, safety=safety)
         memo = {}
-
-        def level(n):
-            return replace(quantize_quadratic(q, HermiteTruncation(q.dim, n, h)), _sigma_memo=memo)
-
-        norms = resolvent_norm(level(degree), zs)
         for _ in range(PROBE_MAX_ROUNDS):
-            finer = degree + LEVEL_GAP
-            norms_f = resolvent_norm(level(finer), zs)
-            ok = np.isfinite(norms) & np.isfinite(norms_f)
-            rel = math.inf if not ok.any() else float(
-                np.max(np.abs(norms_f[ok] - norms[ok]) / norms_f[ok]))
-            degree, norms = finer, norms_f
+            degree += LEVEL_GAP
+            norms, _, rel = level_pair(q, h, degree, zs, memo)
             if rel <= PROBE_CONVERGE_RTOL:
                 break
         else:

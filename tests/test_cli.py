@@ -713,19 +713,21 @@ def test_cli_pseudospectrum_rejects_empty_or_unbounded_grid(tmp_path, capsys, re
 
 
 def test_cli_pseudospectrum_coarse_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
-    import dcspec.cli as cli
+    # weyl.level_pair computes the coarse level first, so the second
+    # resolvent_norm call fails after one level has succeeded
+    from dcspec import weyl
     from dcspec.errors import NumericalFailureError
 
     calls = []
-    real = cli.pseudospectrum_grid
+    real = weyl.resolvent_norm
 
     def fail_second(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            raise NumericalFailureError("coarse level failed")
+            raise NumericalFailureError("second level failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "pseudospectrum_grid", fail_second)
+    monkeypatch.setattr(weyl, "resolvent_norm", fail_second)
     csv_path, svg_path = tmp_path / "grid.csv", tmp_path / "heat.svg"
     argv = ["pseudospectrum", "--symbol", "harmonic.json", "--h", "0.1", "--N", "8",
             "--window", "0,1,0,1", "--res", "3,2", "--out", str(csv_path), "--svg", str(svg_path)]
@@ -863,6 +865,28 @@ def test_cli_probe_theorem_byte_identical_across_processes(tmp_path):
         return args, [csv_path]
 
     outputs = cli_outputs_in_fresh_interpreters(tmp_path, make_args)
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_readme_probe_theorem_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the README's probe-theorem runs batched SVDs, band Cholesky and
+    # eigvalsh, never the Schur engine, whose threaded zgemv row products
+    # are what a BLAS thread count changes: its CSV and summary keep their bytes
+    import subprocess
+    import sys
+
+    args = ["probe-theorem", "--symbol", "kfp.json", "--C0", "0.15", "--C1", "10",
+            "--h-list", "0.2,0.1,0.05,0.025", "--samples", "20"]
+    outputs = []
+    for threads in ("1", "2"):
+        csv_path = tmp_path / f"probe{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcspec.cli", *args, "--out", str(csv_path)],
+            capture_output=True,
+            env=_src_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((csv_path.read_bytes(), proc.stdout))
     assert outputs[0] == outputs[1]
 
 

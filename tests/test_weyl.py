@@ -415,7 +415,7 @@ def test_schur_engine_worst_pseudospectrum_point_against_mpmath():
     q = davies_form(1.0)
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, 100, 0.05))
     assert _largest_block_engine(op, 1200) == "schur"
-    _, im_axis, L = dc.pseudospectrum_grid(op, (0.0, 3.0, -0.5, 2.0), (40, 30))
+    _, im_axis, L, _ = dc.pseudospectrum_grid(q, 0.05, 100, (0.0, 3.0, -0.5, 2.0), (40, 30))
     z = complex(3.0, im_axis[20])
     got = 10.0 ** L[20, 39]
     dense, cond = _block_svd_norms(op, [z])
@@ -1050,6 +1050,67 @@ def test_probe_theorem_recomputes_straddling_blocks(davies, monkeypatch):
     _assert_levels_match_fresh_calls(davies, rows, levels)
 
 
+@pytest.mark.parametrize("N, coarse", [(0, None), (1, 0), (2, 1), (5, 4), (14, 4), (15, 5), (40, 30)])
+def test_coarse_degree(N, coarse):
+    # LEVEL_GAP = 10 below N, not under 4 unless N <= 4, and always below N
+    if coarse is None:
+        with pytest.raises(dc.DomainError):
+            dc.coarse_degree(N)
+    else:
+        assert dc.coarse_degree(N) == coarse
+
+
+def _grid(window, n_re, n_im):
+    re0, re1, im0, im1 = window
+    return np.linspace(re0, re1, n_re) + 1j * np.linspace(im0, im1, n_im)[:, None]
+
+
+def test_level_pair_runs_each_kfp_shell_once(kfp, monkeypatch):
+    # kfp shell j (size j + 1) is the same matrix at degrees 30 and 40, so
+    # across both levels each of the 41 shells is run by an engine at most
+    # once and tested by the Cholesky certificate at most once, and every
+    # shell is visited
+    from dcspec import weyl
+
+    ran = _engine_runs(monkeypatch)
+    tested = []
+    exceeds = weyl._exceeds
+
+    def spy_exceeds(B, zs, tau):
+        tested.append(B)
+        return exceeds(B, zs, tau)
+
+    monkeypatch.setattr(weyl, "_exceeds", spy_exceeds)
+    dc.level_pair(kfp, 0.05, 40, _grid((0.0, 3.0, -1.5, 1.5), 6, 5))
+    monkeypatch.undo()
+    ran, tested = [len(b) for b in ran], [len(b) for b in tested]
+    assert len(set(ran)) == len(ran) and len(set(tested)) == len(tested)
+    assert set(ran) | set(tested) == set(range(1, 42))
+
+
+@pytest.mark.parametrize("name, h, N, n_re, n_im", [
+    ("kfp", 0.05, 40, 6, 5),
+    ("davies", 0.05, 100, 40, 30),  # the Schur engine on blocks 51 and 50
+    ("wedge", 0.1, 20, 6, 5),
+])
+def test_level_pair_equals_fresh_calls(request, name, h, N, n_re, n_im):
+    # both levels keep the bits of fresh resolvent_norm calls on fresh
+    # operators, at a grid and at a scalar shift, and rel_change is the
+    # largest |norm - coarse| / norm over the shifts finite at both
+    q = request.getfixturevalue(name)
+    zs = _grid((0.0, 3.0, -0.5, 2.0), n_re, n_im)
+    for z in (zs, zs[1, 2]):
+        norms, coarse, rel = dc.level_pair(q, h, N, z)
+        fresh_coarse, fresh = (
+            dc.resolvent_norm(dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, n, h)), z)
+            for n in (dc.coarse_degree(N), N))
+        assert np.asarray(norms).tobytes() == np.asarray(fresh).tobytes()
+        assert np.asarray(coarse).tobytes() == np.asarray(fresh_coarse).tobytes()
+        assert type(norms) is type(fresh) and type(coarse) is type(fresh_coarse)
+        pairs = zip(np.ravel(fresh).tolist(), np.ravel(fresh_coarse).tolist())
+        assert rel == max(abs(f - c) / f for f, c in pairs if math.isfinite(f) and math.isfinite(c))
+
+
 def test_sparse_shift_through_stored_diagonal_matches_identity_subtraction():
     # the sparse engine shifts a block by moving its stored diagonal; the
     # former B - z I (the oracle here, shifted by 0) gives the same sigma_min
@@ -1290,7 +1351,7 @@ def test_resolvent_norm_infinity_signal_sparse(harmonic, monkeypatch):
 
 def test_pseudospectrum_grid_harmonic(harmonic):
     op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 20, 0.1))
-    re_axis, im_axis, grid = dc.pseudospectrum_grid(op, (0.05, 0.45, -0.1, 0.1), (5, 3))
+    re_axis, im_axis, grid, _ = dc.pseudospectrum_grid(harmonic, 0.1, 20, (0.05, 0.45, -0.1, 0.1), (5, 3))
     assert grid.shape == (3, 5)
     eigs = np.diag(op.matrix.toarray().real)
     for j, im in enumerate(im_axis):
@@ -1301,10 +1362,12 @@ def test_pseudospectrum_grid_harmonic(harmonic):
 
 
 def test_pseudospectrum_grid_infinity_sentinel(harmonic):
-    op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 20, 0.1))
-    # grid point exactly on an eigenvalue propagates +inf
-    _, _, grid = dc.pseudospectrum_grid(op, (0.1, 0.3, 0.0, 0.0), (2, 1))
+    # grid point exactly on an eigenvalue propagates +inf, at both levels
+    _, _, grid, change = dc.pseudospectrum_grid(harmonic, 0.1, 20, (0.1, 0.3, 0.0, 0.0), (2, 1))
     assert np.isinf(grid).all()
+    assert change == math.inf
+    # so has a lone shift there, which leaves level_pair no finite change
+    assert dc.level_pair(harmonic, 0.1, 20, 0.1) == (math.inf, math.inf, math.inf)
 
 
 def test_energy_cutoff_and_degree_suggestion():
