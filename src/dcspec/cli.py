@@ -411,9 +411,16 @@ def _grid_counts(values, flag):
     return [int(v) for v in values]
 
 
+def _coarse_n(N):
+    """``coarse_degree`` of the --N flag, with an error that names the flag."""
+    if N < 1:
+        raise DomainError(f"--N must be >= 1 to have a coarser level, got {N}")
+    return coarse_degree(N)
+
+
 def _cmd_pseudospectrum(args):
     q = parse_symbol_spec(args.symbol)
-    coarse_n = coarse_degree(args.N)
+    coarse_n = _coarse_n(args.N)
     window = _parse_floats(args.window, 4, "--window")
     n_re, n_im = _grid_counts(_parse_floats(args.res, 2, "--res"), "--res")
     # both levels before the first write, so a failure leaves no partial output
@@ -437,7 +444,7 @@ def _cmd_pseudospectrum(args):
 def _cmd_resolvent(args):
     q = parse_symbol_spec(args.symbol)
     zre, zim = _parse_floats(args.z, 2, "--z")
-    coarse_n = coarse_degree(args.N)
+    coarse_n = _coarse_n(args.N)
     norm, _, rel = level_pair(q, args.h, args.N, complex(zre, zim))
     _emit_json(
         {

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SymbolSchemaError
+from .errors import DomainError, SymbolSchemaError
 from ._linalg import block_matrix, sym
 
 __all__ = [
@@ -43,7 +43,9 @@ class QuadraticForm:
     """q(X) = <X, A X> with A complex symmetric of size 2*dim.
 
     The matrix is symmetrized on construction, so ``matrix`` is exactly
-    symmetric regardless of how the coefficients were supplied.
+    symmetric regardless of how the coefficients were supplied.  A
+    non-finite entry, given or from an overflow while symmetrizing, raises
+    DomainError.
     """
 
     dim: int
@@ -56,7 +58,11 @@ class QuadraticForm:
         n = 2 * self.dim
         if A.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}, got {A.shape}")
-        object.__setattr__(self, "matrix", sym(A))
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = sym(A)
+        if not np.isfinite(A).all():
+            raise DomainError("the form's matrix has a non-finite entry")
+        object.__setattr__(self, "matrix", A)
 
     def real_part(self):
         """The quadratic form Re q."""

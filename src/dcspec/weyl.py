@@ -6,7 +6,8 @@ closed form from the normal-ordered ladder terms of the symbol, each of which
 sends a basis vector to one basis vector with a factor sqrt(integer).
 Eigenvalues of the truncation inside the numerical range of a strongly
 non-normal symbol can be spurious; spectra and resolvent norms should
-always be compared across two truncation levels (``level_pair``).
+always be compared across two truncation levels (``level_pair``, which
+assembles the finer one and takes the coarser as its leading submatrix).
 
 ``TruncatedWeylOperator.matrix`` is a scipy sparse CSC matrix (0.4% of its
 entries are nonzero for kfp at N = 36, basis size 703).  A quadratic symbol
@@ -47,12 +48,16 @@ tau(z) of the blocks before it is finite at every shift, is first tested by
 (B - z)^H (B - z) - c I of a chunk of shifts, stacked along one diagonal.
 If it completes, the SVD would give a value >= tau at every shift, so the
 block's SVDs are skipped and the output bytes stay those of the engines.
-Every block is banded (kfp shells and davies blocks tridiagonal): at m = 20,
-30 and 37 and 10 shifts the test costs 0.06, 0.08 and 0.08 ms against 0.31,
-0.61 and 0.91 ms of SVDs, and it skips 73% of the multi-row kfp shells of a
-probe-theorem ladder (all of m >= 17).  The "schur" and "sparse" engines
-never try it: at m = 51 and 1200 shifts it costs 0.002 ms a shift where it
-holds (the Schur engine 0.03 ms), but it fails on a grid across the spectrum.
+Every block is banded (kfp shells and davies blocks tridiagonal).  The
+bands of B^H B, B^H and B are formed once per operator, for all its dense
+blocks in one pass, on its first test (``TruncatedWeylOperator._bands``,
+0.12 ms for kfp at N = 36), and each test slices its block's rows: at
+m = 20, 30 and 37 and 10 shifts it then costs 0.034, 0.040 and 0.044 ms
+against 0.30, 0.62 and 0.88 ms of SVDs, and it skips 73% of the multi-row
+kfp shells of a probe-theorem ladder (all of m >= 17).  The "schur" and
+"sparse" engines never try it: at m = 51 and 1200 shifts it costs 0.002 ms
+a shift where it holds (the Schur engine 0.03 ms), but it fails on a grid
+across the spectrum.
 
 ``_lanczos``, one three-term recurrence with no stored basis, runs
 max(1, 2^15 // m) shifts at a time, so a vector block holds at most
@@ -201,29 +206,69 @@ class TruncatedWeylOperator:
         """
         M = self.matrix
         n = M.shape[0]
-        root = components(n, M.indices, np.repeat(np.arange(n), np.diff(M.indptr)))
+        col = np.repeat(np.arange(n), np.diff(M.indptr))
+        root = components(n, M.indices, col)
         _, labels = np.unique(root, return_inverse=True)
         perm = np.argsort(labels, kind="stable")
-        P = M[perm][:, perm]
         sizes = np.bincount(labels)
-        ends = np.cumsum(sizes)
-        # P is block-diagonal; the place of each stored entry in its block
-        per_col = np.diff(P.indptr)
-        offset = np.repeat(np.repeat(ends - sizes, sizes), per_col)
-        rows = P.indices - offset
-        cols = np.repeat(np.arange(n), per_col) - offset
+        first = np.cumsum(sizes) - sizes
+        # each stored entry's row and column in the blocks' order of the basis,
+        # where M is block diagonal, the entries sorted block by block
+        inv = np.empty(n, int)
+        inv[perm] = np.arange(n)
+        order = np.argsort(inv[col], kind="stable")
+        i, j, v = inv[M.indices[order]], inv[col[order]], M.data[order]
+        cut = np.searchsorted(j, np.r_[first, n])
         out = []
-        for stop, size in zip(ends, sizes):
-            sel = slice(P.indptr[stop - size], P.indptr[stop])
+        for t, (lo, size) in enumerate(zip(first.tolist(), sizes.tolist())):
+            sel = slice(cut[t], cut[t + 1])
+            rows, cols = i[sel] - lo, j[sel] - lo
             if size <= DENSE_SVD_CUTOFF:
-                b = np.zeros((size, size), dtype=P.dtype)
-                b[rows[sel], cols[sel]] = P.data[sel]
+                b = np.zeros((size, size), dtype=v.dtype)
+                b[rows, cols] = v[sel]
             else:  # every diagonal entry stored, zeros too, so a shift moves only data
-                i = np.arange(size)
-                ij = (np.r_[rows[sel], i], np.r_[cols[sel], i])
-                b = sp.csc_matrix((np.r_[P.data[sel], np.zeros(size)], ij), shape=(size, size))
-            out.append((perm[stop - size:stop], b))
+                d = np.arange(size)
+                ij = (np.r_[rows, d], np.r_[cols, d])
+                b = sp.csc_matrix((np.r_[v[sel], np.zeros(size)], ij), shape=(size, size))
+            out.append((perm[lo:lo + size], b))
         return tuple(out)
+
+    @cached_property
+    def _bands(self):
+        """The band form of every dense block B of ``blocks`` (m <=
+        ``DENSE_SVD_CUTOFF``) that the Cholesky certificate (``_exceeds``)
+        reads, as (S, first, kd), formed on its first attempt and kept.
+
+        Block t takes rows first[t] to first[t] + m - 1 in the blocks' order,
+        and S[:, first[t] + j, d] holds the entries (j + d, j) of B^H B, B^H
+        and B for d <= kd[t] = min(2 b, m - 1), b the largest |i - j| of B's
+        stored entries; rows of larger blocks are zero.  An inverse
+        permutation of the CSC indices puts the dense blocks' entries in that
+        order, as one block-diagonal matrix A of bandwidth w (the largest b),
+        so one product of A's band with itself gives every B^H B."""
+        M, n = self.matrix, self.matrix.shape[0]
+        sizes = np.array([len(idx) for idx, _ in self.blocks])
+        inv = np.empty(n, int)
+        inv[np.concatenate([idx for idx, _ in self.blocks])] = np.arange(n)
+        label = np.repeat(np.arange(len(sizes)), sizes)  # the block of each row of A
+        i, j = inv[M.indices], inv[np.repeat(np.arange(n), np.diff(M.indptr))]
+        keep = sizes[label[j]] <= DENSE_SVD_CUTOFF
+        i, j, v = i[keep], j[keep], M.data[keep]
+        o = i - j
+        b = np.zeros(len(sizes), int)
+        np.maximum.at(b, label[j], np.abs(o))
+        kd = np.minimum(2 * b, sizes - 1)
+        w, wd = int(b.max(initial=0)), int(kd.max(initial=0))
+        C = np.zeros((n + wd, wd + 2 * w + 1), complex)  # C[j, wd + r] = conj(A[j - w + r, j])
+        C[j, wd + w + o] = v.conj()
+        s0, s1 = C.strides  # V[j, d, r] = conj(A[j - w + r, j + d]), 0 outside A
+        V = np.lib.stride_tricks.as_strided(C[:, wd:], (n, wd + 1, 2 * w + 1), (s0, s0 - s1, s1))
+        S = np.zeros((3, n, wd + 1), complex)  # [j, d]: entry (j + d, j) of A^H A, A^H and A
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the finite test
+            S[0] = (V @ C[:n, wd:, None].conj())[:, :, 0]
+        S[1] = V[:, :, w]
+        S[2, :, :w + 1] = C[:n, wd + w:].conj()
+        return S, np.cumsum(sizes) - sizes, kd
 
 
 def quantize_quadratic(q, trunc):
@@ -516,24 +561,24 @@ def _sigma_min_dense(B, zs):
     return out
 
 
-def _exceeds(B, zs, tau):
-    """Whether the "dense" engine's value sigma_min(B - z) of an m x m block
-    B (m >= 2) is >= tau(z) at every shift of the 1-D array ``zs``, proved
-    without an SVD in LAPACK lower band storage.  With b the largest |i - j|
-    of B's nonzero entries, A = B - z has the Gram matrix A^H A = B^H B -
-    z B^H - conj(z) B + |z|^2 I of kd = min(2 b, m - 1) lower diagonals,
-    those of B^H B formed once from B's band.  Per chunk of shifts (at most
-    ``_BATCH_ENTRIES`` band entries) one ``zpbtrf`` factors A^H A - c I,
-    c = (tau + delta)^2 + kappa, stacked along one diagonal with zero
-    couplings; True only if each completes with a finite factor (zpbtrf
-    returns info = 0 on NaN and inf entries).
+def _exceeds(op, i, zs, tau):
+    """Whether the "dense" engine's value sigma_min(B - z) of block i of
+    ``op`` (B = op.blocks[i][1], m >= 2) is >= tau(z) at every shift of the
+    1-D array ``zs``, proved without an SVD in LAPACK lower band storage.
+    A = B - z has the Gram matrix A^H A = B^H B - z B^H - conj(z) B +
+    |z|^2 I, whose kd + 1 lower diagonals come from the block's rows of
+    ``op._bands``.  Per chunk of shifts (at most ``_BATCH_ENTRIES`` band
+    entries) one ``zpbtrf`` factors A^H A - c I, c = (tau + delta)^2 + kappa,
+    stacked along one diagonal with zero couplings; True only if each
+    completes with a finite factor (zpbtrf returns info = 0 on NaN and inf
+    entries).
 
     With F = ||B||_F + sqrt(m) |z| >= ||A||_F and u = 2^-53, delta = m u F
     bounds the engine's own error, |sigma_hat - sigma_min(A)| <= p(m) u ||A||_2
     for a backward-stable SVD with p(m) <= m (p = 1 in the LAPACK Users'
     Guide, 3rd ed., 1999, section 4.9), and kappa = 8 m^2 u F^2 the rounding
     of the test in the 2-norm: sqrt(2) gamma_{m+2} F^2 for fl(B^H B) (at most
-    m nonzero terms per inner product; gamma_k = k u / (1 - k u)),
+    m nonzero terms per inner product, in any order; gamma_k = k u / (1 - k u)),
     sqrt(2) gamma_5 F^2 for the sums with B^H and B, 8.5 u F^2 for c and for
     |z|^2 - c on the diagonal (a completed factorization has c <= F^2
     (1 + O(u))), and sqrt(2) gamma_{m+1} F^2 (1 + O(m u)) for the band
@@ -545,26 +590,17 @@ def _exceeds(B, zs, tau):
     sigma_min(A) >= tau + delta."""
     from scipy.linalg.lapack import zpbtrf
 
-    m, u = len(B), np.finfo(float).eps / 2
-    i, j = np.nonzero(B)
-    v, o = B[i, j], i - j
-    b = int(np.abs(o).max(initial=0))
-    kd = min(2 * b, m - 1)
-    C = np.zeros((m + kd, kd + 2 * b + 1), complex)  # C[j, kd + r] = conj(B[j - b + r, j])
-    C[j, kd + b + o] = v.conj()
-    s0, s1 = C.strides  # V[j, d, r] = conj(B[j - b + r, j + d]), 0 outside B
-    V = np.lib.stride_tricks.as_strided(C[:, kd:], (m, kd + 1, 2 * b + 1), (s0, s0 - s1, s1))
-    S = np.zeros((3, m, kd + 1), complex)  # [j, d]: entry (j + d, j) of B^H B, B^H and B
+    bands, first, kds = op._bands
+    m, kd, u = len(op.blocks[i][0]), int(kds[i]), np.finfo(float).eps / 2
+    S = bands[:, first[i]:first[i] + m, :kd + 1].reshape(3, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the finite test
-        S[0] = (V @ C[:m, kd:, None].conj())[:, :, 0]
-        S[1] = V[:, :, b]
-        S[2, j[o >= 0], o[o >= 0]] = v[o >= 0]
+        norm = math.sqrt(S[0, ::kd + 1].real.sum())  # ||B||_F from the diagonal of B^H B
         chunk = max(1, _BATCH_ENTRIES // (m * (kd + 1)))
         for start in range(0, len(zs), chunk):
             z = zs[start:start + chunk]
-            f = math.sqrt(S[0, :, 0].real.sum()) + math.sqrt(m) * np.abs(z)  # ||B||_F from B^H B
+            f = norm + math.sqrt(m) * np.abs(z)
             c = (tau[start:start + chunk] + m * u * f) ** 2 + 8 * m * m * u * f * f
-            G = np.stack([np.ones(len(z)), -z, -z.conj()], 1) @ S.reshape(3, -1)
+            G = np.stack([np.ones(len(z)), -z, -z.conj()], 1) @ S
             G[:, ::kd + 1] += (z.real ** 2 + z.imag ** 2 - c)[:, None]
             L, info = zpbtrf(G.reshape(-1, kd + 1).T, lower=1, overwrite_ab=1)
             if info or not np.isfinite(L).all():
@@ -627,7 +663,7 @@ def _sigma_min(op, zs):
     memo = op._sigma_memo
     tag = zs.tobytes()
     smin = np.full(zs.shape, np.inf)
-    for idx, b in op.blocks:
+    for i, (idx, b) in enumerate(op.blocks):
         key = (idx.tobytes(), tag)
         s = None if memo is None else memo.get(key)
         if s is None:
@@ -635,7 +671,7 @@ def _sigma_min(op, zs):
             if bound is not None and (smin <= bound).all():
                 continue
             engine = _engine(b, zs.size)
-            if engine == "dense" and len(b) > 1 and np.isfinite(smin).all() and _exceeds(b, zs, smin):
+            if engine == "dense" and len(b) > 1 and np.isfinite(smin).all() and _exceeds(op, i, zs, smin):
                 if memo is not None:
                     memo[(*key, "lower bound")] = smin.copy()
                 continue
@@ -650,7 +686,7 @@ def coarse_degree(N):
     """Truncation degree of the two-level convergence check: ``LEVEL_GAP``
     below N, but not under 4 unless N itself is at most 4, so always below N."""
     if N < 1:
-        raise DomainError(f"--N must be >= 1 to have a coarser level, got {N}")
+        raise DomainError(f"N must be >= 1 to have a coarser level, got {N}")
     return max(min(4, N - 1), N - LEVEL_GAP)
 
 
@@ -661,9 +697,10 @@ def level_pair(q, h, N, z, memo=None):
     levels, or inf if there is none.
 
     The levels sit on nested graded bases, so the coarser matrix is the
-    leading submatrix of the finer one, and a block of the finer operator
-    inside the coarser basis is a block of the coarser one with the same
-    entries: all N + 1 degree shells of kfp at degree N reappear at
+    leading submatrix of the finer one: q is quantized once, at degree N,
+    and the coarser operator takes that submatrix.  A block of the finer
+    operator inside the coarser basis is a block of the coarser one with the
+    same entries: all N + 1 degree shells of kfp at degree N reappear at
     N + ``LEVEL_GAP``, while davies and wedge_model blocks straddle the
     coarser basis.  Both levels take ``memo`` (a new dict if None) as their
     ``_sigma_memo``, the coarser first, so a shared block is computed, or
@@ -671,13 +708,10 @@ def level_pair(q, h, N, z, memo=None):
     gives; each level applies its own infinity floor.
     """
     memo = {} if memo is None else memo
-
-    def norms_at(n):
-        op = quantize_quadratic(q, HermiteTruncation(q.dim, n, h))
-        return resolvent_norm(replace(op, _sigma_memo=memo), z)
-
-    coarse = norms_at(coarse_degree(N))
-    norms = norms_at(N)
+    trunc = HermiteTruncation(q.dim, coarse_degree(N), h)
+    fine = replace(quantize_quadratic(q, HermiteTruncation(q.dim, N, h)), _sigma_memo=memo)
+    coarse = resolvent_norm(TruncatedWeylOperator(trunc, fine.matrix[:trunc.size, :trunc.size], memo), z)
+    norms = resolvent_norm(fine, z)
     n, c = np.asarray(norms), np.asarray(coarse)  # 0-d for a scalar z
     ok = np.isfinite(n) & np.isfinite(c)
     rel = float(np.max(np.abs(n[ok] - c[ok]) / n[ok])) if ok.any() else math.inf

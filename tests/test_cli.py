@@ -89,6 +89,24 @@ def test_parse_rejects_overflowing_exponent(tmp_path):
         parse_symbol_spec(str(bad))
 
 
+@pytest.mark.parametrize("term, error", [
+    ('{"alpha": [2], "beta": [0], "re": Infinity}', "SymbolSchemaError"),
+    # two finite coefficients of one monomial whose sum overflows to inf
+    ('{"alpha": [2], "beta": [0], "re": 1e308}, {"alpha": [2], "beta": [0], "re": 1e308}', "DomainError"),
+])
+def test_cli_non_finite_symbol_exits_2(tmp_path, capsys, term, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "terms": [%s, {"alpha": [0], "beta": [2], "re": 1.0}]}' % term)
+    out = tmp_path / "out.csv"
+    for cmd in (["probe-theorem", "--C0", "0.15", "--C1", "10", "--h-list", "0.1", "--out", str(out)],
+                ["spectrum", "--h", "0.1", "--radius", "1"],
+                ["resolvent", "--h", "0.1", "--N", "10", "--z", "0.3,0.2"]):
+        assert run(cmd + ["--symbol", str(bad)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
+    assert not out.exists()
+
+
 def test_cli_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 1, "terms": [{"alpha": [1], "beta": [], "re": 1.0}]}')
@@ -632,7 +650,7 @@ def test_cli_coarse_level_below_small_n(capsys):
                        "--window", "0,1,0,0", "--res", "2,1"]):
         assert run(cmd + ["--N", "0"]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "DomainError"
+        assert payload == {"error": "DomainError", "message": "--N must be >= 1 to have a coarser level, got 0"}
 
 
 def test_cli_import_skips_scipy_optimize():

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import types
 from importlib import resources
 
 import hypothesis.extra.numpy as hnp
@@ -739,12 +738,20 @@ def _engine_runs(monkeypatch):
 
 
 def _stand_in_op(blocks, memo=None, indices=None):
-    """An object with the two attributes ``_sigma_min`` reads: ``blocks``, as
-    (basis indices, block) pairs, the indices [i] for block i unless given,
-    and ``_sigma_memo``."""
-    indices = [[i] for i in range(len(blocks))] if indices is None else indices
-    return types.SimpleNamespace(blocks=[(np.array(i), b) for i, b in zip(indices, blocks)],
-                                 _sigma_memo=memo)
+    """A TruncatedWeylOperator whose ``blocks`` are the given dense blocks, in
+    their order, on consecutive basis indices unless ``indices`` gives each
+    block's, with ``_sigma_memo`` memo.  Each block's pattern must be
+    connected, so that the operator finds it as one block; that is checked."""
+    sizes = [len(b) for b in blocks]
+    if indices is None:
+        indices = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    M = np.zeros((sum(sizes),) * 2, complex)
+    for idx, b in zip(indices, blocks):
+        M[np.ix_(idx, idx)] = b
+    op = dc.TruncatedWeylOperator(dc.HermiteTruncation(1, len(M) - 1, 1.0), sp.csc_matrix(M), memo)
+    assert [list(idx) for idx, _ in op.blocks] == [list(idx) for idx in indices]
+    assert all(np.array_equal(b, c) for (_, b), c in zip(op.blocks, blocks))
+    return op
 
 
 def _engine_min(blocks, zs):
@@ -774,9 +781,10 @@ def test_sigma_min_runs_a_block_that_ties_the_minimum(monkeypatch):
         z0 = complex(*rng.uniform(-1, 1, 2))
         far = z0 + 100 + 1e-3j * np.arange(max(1, _BATCH_ENTRIES // (m * m)))
         zs = np.r_[far, z0]
-        blocks = [np.array([[z0 + 100 - 1e-6]]), X, X.T.copy()]
+        op = _stand_in_op([np.array([[z0 + 100 - 1e-6]]), X, X.T.copy()])
+        blocks = [b for _, b in op.blocks]
         ran.clear()
-        got = _sigma_min(_stand_in_op(blocks), zs)
+        got = _sigma_min(op, zs)
         assert any(b is blocks[2] for b in ran)
         assert got.tolist() == _engine_min(blocks, zs).tolist()
 
@@ -793,21 +801,25 @@ def test_sigma_min_uses_a_stored_bound_only_below_the_minimum(monkeypatch):
     ran = _engine_runs(monkeypatch)
     tested = []
     exceeds = weyl._exceeds
-    monkeypatch.setattr(weyl, "_exceeds", lambda b, *a: tested.append(b) or exceeds(b, *a))
+    monkeypatch.setattr(weyl, "_exceeds", lambda op, i, *a: tested.append(op.blocks[i][1]) or exceeds(op, i, *a))
     B = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
-    low, high = np.array([[0.1]], dtype=complex), 5.0 * np.eye(2, dtype=complex)
+    low, high = np.array([[0.1]], dtype=complex), np.array([[5.0, 0.1], [0.0, 5.0]], dtype=complex)
     zs = np.array([0.0, 0.2 + 0.1j])
     memo = {}
-    for runs, tests in [([low], [B]), ([], [])]:  # then low comes from the memo
+    for runs, tests in [([0], [1]), ([], [])]:  # then low comes from the memo
+        op = _stand_in_op([low, B], memo)
+        blocks = [b for _, b in op.blocks]
         ran.clear()
         tested.clear()
-        got = weyl._sigma_min(_stand_in_op([low, B], memo), zs)
-        assert [id(b) for b in ran] == list(map(id, runs))
-        assert [id(b) for b in tested] == list(map(id, tests))
+        got = weyl._sigma_min(op, zs)
+        assert [id(b) for b in ran] == [id(blocks[k]) for k in runs]
+        assert [id(b) for b in tested] == [id(blocks[k]) for k in tests]
         assert got.tolist() == np.abs(0.1 - zs).tolist() == _engine_min([low, B], zs).tolist()
+    op = _stand_in_op([high, B], memo, [[0, 3], [1, 2]])
+    (_, high), (_, B) = op.blocks
     ran.clear()
     tested.clear()
-    got = weyl._sigma_min(_stand_in_op([high, B], memo, [[0, 2], [1]]), zs)
+    got = weyl._sigma_min(op, zs)
     assert [id(b) for b in ran] == [id(high), id(B)] and [id(b) for b in tested] == [id(B)]
     assert got.tolist() == weyl._sigma_min_dense(B, zs).tolist() == _engine_min([high, B], zs).tolist()
     assert (np.abs(0.1 - zs) < got).all() and (got < weyl._sigma_min_dense(high, zs)).all()
@@ -874,9 +886,9 @@ def test_dense_engine_memory_is_a_few_batches():
 
 
 def _largest_block(q, N, h):
-    """The largest block of q's truncation at degree N."""
+    """q's truncation at degree N and the position of its largest block."""
     op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, h))
-    return max((b for _, b in op.blocks), key=len)
+    return op, max(range(len(op.blocks)), key=lambda i: len(op.blocks[i][0]))
 
 
 def _random_block(m):
@@ -891,9 +903,9 @@ _CERTIFICATE_BLOCKS = {
     "davies": (lambda: _largest_block(davies_form(), 100, 0.05), "1"),  # m = 51
     "wedge_model": (lambda: _largest_block(parse_symbol_spec("wedge_model.json"), 20, 0.1), "mid"),  # 66, b 11
     "family_beta": (lambda: _largest_block(parse_symbol_spec("family_beta.json"), 12, 0.1), "mid"),  # 49, b 13
-    "random 2": (lambda: _random_block(2), "m - 1"),
-    "random 7": (lambda: _random_block(7), "m - 1"),
-    "random 20": (lambda: _random_block(20), "m - 1"),
+    "random 2": (lambda: (_stand_in_op([_random_block(2)]), 0), "m - 1"),
+    "random 7": (lambda: (_stand_in_op([_random_block(7)]), 0), "m - 1"),
+    "random 20": (lambda: (_stand_in_op([_random_block(20)]), 0), "m - 1"),
 }
 
 
@@ -904,11 +916,13 @@ def test_exceeds_decides_as_the_svd_at_every_bandwidth(name):
     # so that the margins delta and kappa cannot decide: tau = 0.999 x the
     # SVD value at every shift is certified, and tau = 1.000001 x it at only
     # the first or only the last shift, above the engine's value there, is
-    # not: the stacked factorization leaks nothing across shifts
+    # not: the stacked factorization leaks nothing across shifts.  The
+    # symbols' blocks sit among their operator's other blocks
     from dcspec.weyl import _BATCH_ENTRIES, _exceeds, _sigma_min_dense
 
     make, kind = _CERTIFICATE_BLOCKS[name]
-    B = make()
+    op, k = make()
+    B = op.blocks[k][1]
     m = len(B)
     i, j = np.nonzero(B)
     b = np.abs(i - j).max()
@@ -922,11 +936,11 @@ def test_exceeds_decides_as_the_svd_at_every_bandwidth(name):
     assert len(zs) == 10
     sigma = _sigma_min_dense(B, zs)
     tau = 0.999 * sigma
-    assert _exceeds(B, zs, tau)
+    assert _exceeds(op, k, zs, tau)
     for at in (0, -1):
         above = tau.copy()
         above[at] = 1.000001 * sigma[at]
-        assert not _exceeds(B, zs, above)
+        assert not _exceeds(op, k, zs, above)
 
 
 def test_exceeds_never_certifies_an_overflowing_gram(monkeypatch):
@@ -938,14 +952,15 @@ def test_exceeds_never_certifies_an_overflowing_gram(monkeypatch):
     from dcspec.weyl import _exceeds, _sigma_min, _sigma_min_dense
 
     ran = _engine_runs(monkeypatch)
-    B = 1e200 * _largest_block(kfp_form(), 24, 0.1)
+    op, k = _largest_block(kfp_form(), 24, 0.1)
+    op = _stand_in_op([np.array([[1.0 + 0j]]), 1e200 * op.blocks[k][1]])
+    blocks = [b for _, b in op.blocks]
     zs = np.array([0.3 + 0.1j, 1.0, 2.0 - 0.5j])
-    sigma = _sigma_min_dense(B, zs)
+    sigma = _sigma_min_dense(blocks[1], zs)
     assert np.isfinite(sigma).all() and (sigma > 1e199).all()
-    assert not _exceeds(B, zs, np.ones(3))
-    blocks = [np.array([[1.0 + 0j]]), B]
+    assert not _exceeds(op, 1, zs, np.ones(3))
     ran.clear()
-    got = _sigma_min(_stand_in_op(blocks), zs)
+    got = _sigma_min(op, zs)
     assert [id(b) for b in ran] == [id(b) for b in blocks]
     assert got.tolist() == _engine_min(blocks, zs).tolist()
 
@@ -960,20 +975,33 @@ def test_exceeds_memory_is_linear_in_rows_and_shifts():
 
     from dcspec.weyl import _exceeds, _sigma_min_dense
 
-    B = _largest_block(davies_form(), 218, 0.05)
+    op, k = _largest_block(davies_form(), 218, 0.05)
+    B = op.blocks[k][1]
     m = len(B)
     i, j = np.nonzero(B)
     assert m == 110 and not sp.issparse(B) and np.abs(i - j).max() == 1
     zs = np.linspace(0.5, 3, 10) + 0.5j
     tau = 0.5 * _sigma_min_dense(B, zs)
-    assert _exceeds(B, zs, tau)
+    assert _exceeds(op, k, zs, tau)  # forms the operator's band form
     tracemalloc.start()
     try:
-        ok = _exceeds(B, zs, tau)
+        ok = _exceeds(op, k, zs, tau)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert ok and peak <= 16 * len(zs) * m * 16
+    # the operator's band form, formed once (n = 219 rows, blocks 110 and
+    # 109), holds a few dozen entries per row, against n^2 = 219 n for a
+    # dense Gram matrix of the whole operator
+    fresh = dc.TruncatedWeylOperator(op.trunc, op.matrix)
+    fresh.blocks
+    tracemalloc.start()
+    try:
+        fresh._bands
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * op.trunc.size * 16
 
 
 def _probe_levels(q, monkeypatch):
@@ -1053,9 +1081,10 @@ def test_probe_theorem_recomputes_straddling_blocks(davies, monkeypatch):
 @pytest.mark.parametrize("N, coarse", [(0, None), (1, 0), (2, 1), (5, 4), (14, 4), (15, 5), (40, 30)])
 def test_coarse_degree(N, coarse):
     # LEVEL_GAP = 10 below N, not under 4 unless N <= 4, and always below N
-    if coarse is None:
-        with pytest.raises(dc.DomainError):
-            dc.coarse_degree(N)
+    if coarse is None:  # a library error, naming no CLI flag
+        for call in (lambda: dc.coarse_degree(N), lambda: dc.level_pair(harmonic_form(), 0.1, N, 0.3)):
+            with pytest.raises(dc.DomainError, match=r"^N must be >= 1 to have a coarser level, got 0$"):
+                call()
     else:
         assert dc.coarse_degree(N) == coarse
 
@@ -1076,14 +1105,15 @@ def test_level_pair_runs_each_kfp_shell_once(kfp, monkeypatch):
     tested = []
     exceeds = weyl._exceeds
 
-    def spy_exceeds(B, zs, tau):
-        tested.append(B)
-        return exceeds(B, zs, tau)
+    def spy_exceeds(op, i, zs, tau):
+        tested.append(op.blocks[i][1])
+        return exceeds(op, i, zs, tau)
 
     monkeypatch.setattr(weyl, "_exceeds", spy_exceeds)
     dc.level_pair(kfp, 0.05, 40, _grid((0.0, 3.0, -1.5, 1.5), 6, 5))
     monkeypatch.undo()
     ran, tested = [len(b) for b in ran], [len(b) for b in tested]
+    assert ran and tested  # both spies saw calls
     assert len(set(ran)) == len(ran) and len(set(tested)) == len(tested)
     assert set(ran) | set(tested) == set(range(1, 42))
 
@@ -1289,6 +1319,42 @@ def test_blocks_reassemble_the_matrix(source, seed, N):
     assert (label >= 0).all() and np.array_equal(label[rows], label[cols])
 
 
+def _zero_diagonal_form():
+    """A d = 2 form whose Galerkin matrix lacks diagonal entries: with
+    R_00 = -R_11 exactly, its diagonal vanishes where k_1 = k_2."""
+    rng = np.random.default_rng(6)
+    A = (rng.integers(-8, 9, (4, 4)) + 1j * rng.integers(-8, 9, (4, 4))) / 8
+    A = A + A.T
+    A[3, 3] = -A[0, 0] - A[2, 2] - A[1, 1]
+    return dc.QuadraticForm(2, A)
+
+
+@pytest.mark.parametrize("source", _BUNDLED + ["zero diagonal"])
+def test_blocks_equal_scipy_fancy_indexing(source):
+    # blocks sorts the stored entries by an inverse permutation; scipy fancy
+    # indexing, M[idx][:, idx] per block, is the reference: the same dense
+    # arrays, and for a sparse block (m > DENSE_SVD_CUTOFF, at degree 220
+    # for d = 1 and 22 for d = 2) the same CSC arrays with the whole
+    # diagonal stored, bit for bit
+    from dcspec.weyl import DENSE_SVD_CUTOFF
+
+    q = _zero_diagonal_form() if source == "zero diagonal" else parse_symbol_spec(source)
+    sparse = 0
+    for N in (0, 9, 16, 220 if q.dim == 1 else 22):
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, 0.3))
+        for idx, b in op.blocks:
+            P = op.matrix[idx][:, idx]
+            if len(idx) <= DENSE_SVD_CUTOFF:
+                assert type(b) is np.ndarray and b.tobytes() == P.toarray().tobytes()
+                continue
+            sparse += 1
+            d, P = np.arange(len(idx)), P.tocoo()
+            want = sp.csc_matrix((np.r_[P.data, np.zeros(len(d))], (np.r_[P.row, d], np.r_[P.col, d])), shape=P.shape)
+            assert sp.isspmatrix_csc(b) and all(
+                getattr(b, k).tobytes() == getattr(want, k).tobytes() for k in ("data", "indices", "indptr"))
+    assert sparse >= (1 if source in ("davies.json", "zero diagonal") else 0)
+
+
 @pytest.mark.parametrize("source", _BUNDLED)
 def test_spectrum_truncated_blocks_match_unsplit(source):
     # eigenvalues taken block by block against one eigensolve of the whole matrix
@@ -1297,6 +1363,104 @@ def test_spectrum_truncated_blocks_match_unsplit(source):
     whole = np.linalg.eigvals(op.matrix.toarray())
     blocked = dc.spectrum_truncated(op, op.trunc.size)
     assert multiset_defect(blocked, whole) <= 1e-11 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("source", _BUNDLED + ["random-d1", "random-d2", "random-d3", "mixed"])
+def test_band_form_equals_the_dense_diagonals(source):
+    # in each dense block's rows the operator's band form holds the lower
+    # diagonals 0..kd of B^H B (to rounding), B^H and B (exactly), formed
+    # densely per block, kd = min(2 b, m - 1), and zeros past kd; the rows of
+    # a sparse block are zero.  Degree 0 is one 1 x 1 block, and d = 1 at
+    # degree 220 has a sparse parity block (111) next to a dense one (110);
+    # "mixed" puts b = m - 1 blocks (7 and 2) and a 1 x 1 block next to a
+    # kfp shell
+    from conftest import seeded_form
+    from dcspec.weyl import DENSE_SVD_CUTOFF
+
+    if source == "mixed":
+        op, k = _largest_block(kfp_form(), 24, 0.1)
+        ops = [_stand_in_op([_random_block(7), np.array([[2.0 + 1j]]), op.blocks[k][1], _random_block(2)])]
+    else:
+        forms = ([seeded_form(int(source[-1]), seed) for seed in range(2)] if source.startswith("random")
+                 else [parse_symbol_spec(source)])
+        ops = [dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, N, 0.2))
+               for q in forms for N in ([0, 6, 12] + [220] * (q.dim == 1))]
+    kinds = set()
+    for op in ops:
+        S, first, kd = op._bands
+        assert S.shape[:2] == (3, op.trunc.size)
+        for t, (idx, B) in enumerate(op.blocks):
+            m = len(idx)
+            rows = S[:, first[t]:first[t] + m]
+            assert first[t] == sum(len(i) for i, _ in op.blocks[:t])
+            if m > DENSE_SVD_CUTOFF:
+                assert not rows.any()
+                kinds.add("sparse")
+                continue
+            i, j = np.nonzero(B)
+            b = int(np.abs(i - j).max())
+            assert kd[t] == min(2 * b, m - 1)
+            kinds.add("1 x 1" if m == 1 else "b = m - 1" if b == m - 1 else "banded")
+            assert not rows[:, :, kd[t] + 1:].any()
+            gram = B.conj().T @ B
+            for got, want in zip(rows[:, :, :kd[t] + 1], (gram, B.conj().T, B)):
+                ref = np.zeros_like(got)
+                for d in range(kd[t] + 1):
+                    ref[:m - d, d] = np.diagonal(want, -d)
+                if want is gram:
+                    assert np.abs(got - ref).max() <= 1e-14 * np.linalg.norm(B) ** 2
+                else:
+                    assert got.tolist() == ref.tolist()
+    assert kinds >= ({"1 x 1", "b = m - 1", "banded"} if source == "mixed" else {"1 x 1"})
+    if source in ("davies.json", "random-d1"):
+        assert "sparse" in kinds
+
+
+@pytest.mark.parametrize("source", _BUNDLED)
+def test_level_pair_takes_the_coarse_level_from_the_fine_matrix(source, monkeypatch):
+    # level_pair quantizes once, at N, and its coarser operator, the leading
+    # submatrix, equals quantize_quadratic's at coarse_degree(N) bit for bit,
+    # with the same blocks
+    from dcspec import weyl
+
+    q = parse_symbol_spec(source)
+    seen, degrees = [], []
+    norm, quantize = weyl.resolvent_norm, weyl.quantize_quadratic
+    monkeypatch.setattr(weyl, "resolvent_norm", lambda op, z: seen.append(op) or norm(op, z))
+    monkeypatch.setattr(weyl, "quantize_quadratic", lambda q, t: degrees.append(t.degree) or quantize(q, t))
+    for N in (1, 5, 30):
+        seen.clear()
+        degrees.clear()
+        weyl.level_pair(q, 0.1, N, 0.3 + 0.2j)
+        assert degrees == [N]
+        coarse, fine = seen
+        assert coarse.trunc == dc.HermiteTruncation(q.dim, dc.coarse_degree(N), 0.1)
+        assert fine.trunc == dc.HermiteTruncation(q.dim, N, 0.1)
+        want = quantize(q, coarse.trunc)
+        assert coarse.matrix.shape == want.matrix.shape == (coarse.trunc.size,) * 2
+        for name in ("data", "indices", "indptr"):
+            got_a, want_a = getattr(coarse.matrix, name), getattr(want.matrix, name)
+            assert got_a.dtype == want_a.dtype and got_a.tobytes() == want_a.tobytes()
+        assert [(i.tolist(), (b.toarray() if sp.issparse(b) else b).tolist()) for i, b in coarse.blocks] == [
+            (i.tolist(), (b.toarray() if sp.issparse(b) else b).tolist()) for i, b in want.blocks]
+
+
+def test_band_form_is_formed_at_most_once_per_operator(kfp, davies, monkeypatch):
+    # a kfp probe-theorem ladder forms the band form of some of its
+    # operators, each at most once; a davies grid of 1200 shifts, all on the
+    # Schur engine, forms none
+    from dcspec import weyl
+
+    formed, ops = [], []
+    form, norm = weyl.TruncatedWeylOperator._bands.func, weyl.resolvent_norm
+    monkeypatch.setattr(weyl.TruncatedWeylOperator._bands, "func", lambda op: formed.append(op) or form(op))
+    monkeypatch.setattr(weyl, "resolvent_norm", lambda op, z: ops.append(op) or norm(op, z))
+    dc.probe_theorem(kfp, [0.2, 0.1, 0.05], 0.15, 10.0, samples=10, seed=7)
+    assert formed and len({id(op) for op in formed}) == len(formed)
+    assert {id(op) for op in formed} <= {id(op) for op in ops}
+    formed.clear()
+    dc.pseudospectrum_grid(davies, 0.05, 100, (0.0, 3.0, -0.5, 2.0), (40, 30))
+    assert formed == []
 
 
 def test_resolvent_norm_infinity_signal_dense_blocks(harmonic):
@@ -1468,19 +1632,40 @@ def test_non_finite_h_and_z_rejected(harmonic, davies):
 
 
 def test_non_finite_operator_rejected_before_any_engine(monkeypatch):
-    # a form with an infinite coefficient gives a matrix with non-finite
-    # entries; each engine would fail its own way on it (an SVD that does not
-    # converge, zgees's ValueError, a division by zero in SuperLU + Lanczos),
-    # so resolvent_norm raises DomainError before any of them runs
+    # a matrix with one infinite entry (a QuadraticForm cannot give one, as
+    # the next test shows); each engine would fail its own way on it (an SVD
+    # that does not converge, zgees's ValueError, a division by zero in
+    # SuperLU + Lanczos), so resolvent_norm raises DomainError before any of
+    # them runs
     from dcspec.errors import DomainError
 
     ran = _engine_runs(monkeypatch)
-    with np.errstate(all="ignore"):
-        q = dc.QuadraticForm(1, np.array([[math.inf, 0], [0, 1]]))
-        for N, shifts, engine in [(20, 3, "dense"), (60, 1300, "schur"), (300, 1, "sparse")]:
-            op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, N, 0.1))
-            assert not np.isfinite(op.matrix.data).all()
-            assert _largest_block_engine(op, shifts) == engine
-            with pytest.raises(DomainError):
-                dc.resolvent_norm(op, np.linspace(0.1, 2, shifts) + 0.3j)
+    q = dc.QuadraticForm(1, np.array([[2.0, 0], [0, 1]]))
+    for N, shifts, engine in [(20, 3, "dense"), (60, 1300, "schur"), (300, 1, "sparse")]:
+        op = dc.quantize_quadratic(q, dc.HermiteTruncation(1, N, 0.1))
+        op.matrix.data[0] = math.inf
+        assert _largest_block_engine(op, shifts) == engine
+        with pytest.raises(DomainError):
+            dc.resolvent_norm(op, np.linspace(0.1, 2, shifts) + 0.3j)
     assert ran == []
+
+
+@pytest.mark.parametrize("use", ["probe_theorem", "stable_eigenvalues", "spectrum_truncated", "scaling_check"])
+@pytest.mark.parametrize("matrix", [
+    [[math.inf, 0], [0, 1]], [[1, 0], [0, -math.inf]], [[math.nan, 0], [0, 1]],
+    [[1, 1e308], [1e308, 1]],  # finite, but symmetrizing it overflows
+])
+def test_non_finite_form_is_a_domain_error(use, matrix):
+    # every consumer of a form meets one DomainError, raised where the form
+    # is made, instead of a LinAlgError or NumericalFailureError of its own
+    from dcspec.errors import DomainError
+
+    run = {
+        "probe_theorem": lambda q: dc.probe_theorem(q, [0.2, 0.1], 0.15, 10.0, samples=2),
+        "stable_eigenvalues": lambda q: dc.stable_eigenvalues(dc.hamilton_map(q)),
+        "spectrum_truncated": lambda q: dc.spectrum_truncated(
+            dc.quantize_quadratic(q, dc.HermiteTruncation(1, 10, 0.1)), 3),
+        "scaling_check": lambda q: dc.scaling_check(q, 0.1, 0.2, degree=10),
+    }[use]
+    with pytest.raises(DomainError, match="non-finite"):
+        run(dc.QuadraticForm(1, np.array(matrix)))
