@@ -241,8 +241,8 @@ def dist_to_spectrum(spec, h, z):
 def strip_count(spec, rho, r):
     """#{k : |rho - Re mu(k)| <= r}, by exact enumeration of the simplex
     Re mu(k) <= rho + r."""
-    if r < 0:
-        raise ValueError("strip half-width r must be >= 0")
+    if not (math.isfinite(r) and r >= 0):
+        raise DomainError(f"strip half-width r must be finite and >= 0, got {r}")
     remu = spec.mus.real
     if rho + r < float(np.sum(remu)):
         return 0
@@ -252,8 +252,8 @@ def strip_count(spec, rho, r):
 
 def simplex_volume(spec, radius):
     """vol{x in R^d_+ : sum 2 x_j Re mu_j <= R} = R^d / (2^d d! prod Re mu_j)."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise DomainError(f"radius must be finite and >= 0, got {radius}")
     d = spec.dim
     c = 1.0 / (2**d * math.factorial(d) * float(np.prod(spec.mus.real)))
     return c * radius**d
@@ -415,6 +415,8 @@ def excluded_area_fraction(region, spec, samples=MC_SAMPLES, seed=0):
     """
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise DomainError(f"samples must be an integer >= 1, got {samples}")
     r = region.exclusion_radius
     inner = region.inner_radius or 0.0
     outer = region.outer_radius

@@ -24,7 +24,6 @@ from .singular import _flow_integrals
 from .symplectic import _minus_j, standard_j
 
 __all__ = [
-    "j_profile",
     "QuadraticWeight",
     "DeformedSymbol",
     "CanonicalMap",
@@ -37,19 +36,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-
-def j_profile(t):
-    """Triangular profile with distributional derivative delta_0 - 1_[-1,0].
-
-    Integrating that derivative gives -(t+1) on [-1, 0) and 0 elsewhere;
-    the Dirac mass only produces the jump back to 0 at t = 0.  On (0, T]
-    the ramp of :func:`weight_gq` is 1 - t/T = -j_profile(-t/T); the
-    closed form carries it as a second integrator state.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.where((t >= -1.0) & (t < 0.0), -(t + 1.0), 0.0)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -31,21 +31,21 @@ block size m and the number of shifts k:
   shifts whose factors hold about ``_BATCH_ENTRIES`` entries (at least one
   factor) run ``_lanczos`` on (B - z)^{-1} (B - z)^{-H}, top eigenvalue
   1/sigma_min^2 (Wright & Trefethen, SIAM J. Sci. Comput. 23, 2001).
-- "schur", blocks of size m >= ``SCHUR_MIN_SIZE`` (20) when k m^2 >=
-  ``SCHUR_MIN_WORK`` (5e5): one complex Schur form B = Q T Q^H per block,
-  so sigma_min(B - z) = sigma_min(T - z); then the same ``_lanczos`` on
-  (T - z)^{-1} (T - z)^{-H}, two O(m^2) triangular solves per step,
-  batched over the shifts, whose rows are updated in place and multiplied
-  by reciprocal pivots 1/(t_ii - z) formed once per set of running shifts
-  (``_sigma_min_schur``; Lui, SIAM J. Sci. Comput. 18, 1997; Trefethen,
-  Acta Numerica 8, 1999).
-- "dense", any other block: one SVD call per chunk of max(1, 2^15 // m^2)
-  shifts, or |b - z| for a 1 x 1 block (``_sigma_min_dense``).
+- "schur", blocks of size m >= 2 when k m^2 >= ``SCHUR_MIN_WORK`` (5e5):
+  one complex Schur form B = Q T Q^H per block, so sigma_min(B - z) =
+  sigma_min(T - z); then the same ``_lanczos`` on (T - z)^{-1} (T - z)^{-H},
+  two O(m^2) triangular solves per step, batched over the shifts, whose
+  rows are updated in place and multiplied by reciprocal pivots
+  1/(t_ii - z) formed once per set of running shifts (``_sigma_min_schur``;
+  Lui, SIAM J. Sci. Comput. 18, 1997; Trefethen, Acta Numerica 8, 1999).
+- "dense", any other block: one batched SVD call over all k shifts, whose
+  k m^2 < 5e5 shifted entries take at most 16 MB (two complex copies), or
+  |b - z| for a 1 x 1 block (``_sigma_min_dense``).
 
 A block of m >= 2 bound for the "dense" engine, when the running minimum
 tau(z) of the blocks before it is finite at every shift, is first tested by
 ``_exceeds``: one band Cholesky factorization of the Gram matrices
-(B - z)^H (B - z) - c I of a chunk of shifts, stacked along one diagonal.
+(B - z)^H (B - z) - c I of all the shifts, stacked along one diagonal.
 If it completes, the SVD would give a value >= tau at every shift, so the
 block's SVDs are skipped and the output bytes stay those of the engines.
 Every block is banded (kfp shells and davies blocks tridiagonal).  The
@@ -91,9 +91,11 @@ against 0.19 to 0.26 ms) and from 24 to 32 at m = 110, and on wedge
 it wins from 96 to 128 shifts at m = 20, from 40 to 48 at m = 51 and from
 24 to 32 at m = 110 (same blocks; two sets of runs where one was not
 clear).  k m^2 = 5e5 (1250 shifts at m = 20, 193 at 51, 42 at 110) sits
-above all of these.  At 1200 shifts it pays from m = 8 (0.0076 against
-0.024 ms per-shift, 0.009 ms batched), below ``SCHUR_MIN_SIZE``; a block
-smaller than that meets the work bound only from 1385 shifts.  Dense SVD
+above all of these, and it is the only bound: at it the Schur engine also
+beats batched SVDs on smaller blocks, the kfp shells of h = 0.05, N = 20
+with shifts across each shell's spectrum (best of 3: 59 against 167 ms at
+m = 2, 41 against 61 at m = 8, 41 against 55 at m = 11, 27 against 49 at
+m = 15 and 16 against 43 at m = 19), agreeing to 6e-11 relative.  Dense SVD
 and SuperLU + Lanczos cross at m = 81 to 91 (d = 1) and near 90 (d = 2);
 at 240 shifts the Schur engine on a densified block ties batched SuperLU
 at m = 151 (0.32 against 0.33 ms per shift) and beats it on family_beta
@@ -129,13 +131,12 @@ __all__ = [
 ]
 
 DENSE_SVD_CUTOFF = 110  # largest block kept dense
-SCHUR_MIN_SIZE = 20  # smallest block the Schur engine takes
 SCHUR_MIN_WORK = 5e5  # shifts x m^2 from which the Schur engine takes a block
 INFINITY_SIGMA_RTOL = 1e-14
 # Lanczos residual tolerance; a Hermitian Ritz value's error is quadratic in it
 _LANCZOS_TOL = 1e-10
-# complex entries per Lanczos vector block or chunk of shifted matrices, and
-# stored entries per group of SuperLU factors, which set the shifts a chunk
+# complex entries per Lanczos vector block and stored entries per group of
+# SuperLU factors: the two places where a call's shift count is unbounded
 _BATCH_ENTRIES = 2**15
 _LANCZOS_CHECK = 4  # Lanczos steps between convergence checks
 MIN_DEGREE = 24  # smallest truncation degree suggested_degree returns
@@ -171,11 +172,6 @@ class HermiteTruncation:
     @property
     def size(self):
         return math.comb(self.degree + self.dim, self.dim)
-
-    @property
-    def energy_cutoff(self):
-        """Trust-region heuristic: oscillator energy reached at the cutoff."""
-        return self.h * (self.degree + self.dim)
 
 
 @dataclass(frozen=True)
@@ -545,20 +541,14 @@ def _sigma_min_schur(B, zs):
 
 def _sigma_min_dense(B, zs):
     """sigma_min(B - z) of a dense m x m block B for a 1-D array of shifts:
-    one SVD call per chunk of max(1, ``_BATCH_ENTRIES`` // m^2) shifts, so a
-    chunk's shifted copies hold at most ``_BATCH_ENTRIES`` entries.  Each
-    matrix takes the LAPACK call a lone shift would.  A 1 x 1 block gives
-    |b - z| in closed form."""
+    one batched SVD call over all the shifts, whose k m^2 shifted entries
+    ``_engine`` keeps below ``SCHUR_MIN_WORK`` for m >= 2.  Each matrix
+    takes the LAPACK call a lone shift would.  A 1 x 1 block gives |b - z|
+    in closed form."""
     m = len(B)
     if m == 1:  # sigma_min(b - z) = |b - z|
         return np.abs(B[0, 0] - zs)
-    chunk = max(1, _BATCH_ENTRIES // (m * m))
-    eye = np.eye(m)
-    out = np.empty(len(zs))
-    for start in range(0, len(zs), chunk):
-        zc = zs[start:start + chunk, None, None]
-        out[start:start + chunk] = np.linalg.svd(B - zc * eye, compute_uv=False)[:, -1]
-    return out
+    return np.linalg.svd(B - zs[:, None, None] * np.eye(m), compute_uv=False)[:, -1]
 
 
 def _exceeds(op, i, zs, tau):
@@ -567,11 +557,11 @@ def _exceeds(op, i, zs, tau):
     1-D array ``zs``, proved without an SVD in LAPACK lower band storage.
     A = B - z has the Gram matrix A^H A = B^H B - z B^H - conj(z) B +
     |z|^2 I, whose kd + 1 lower diagonals come from the block's rows of
-    ``op._bands``.  Per chunk of shifts (at most ``_BATCH_ENTRIES`` band
-    entries) one ``zpbtrf`` factors A^H A - c I, c = (tau + delta)^2 + kappa,
-    stacked along one diagonal with zero couplings; True only if each
-    completes with a finite factor (zpbtrf returns info = 0 on NaN and inf
-    entries).
+    ``op._bands``.  One ``zpbtrf`` factors A^H A - c I, c = (tau + delta)^2 +
+    kappa, for all k shifts, stacked along one diagonal with zero couplings
+    (k m (kd + 1) <= k m^2 band entries, below ``SCHUR_MIN_WORK`` on the
+    "dense" engine's blocks); True only if it completes with a finite factor
+    (zpbtrf returns info = 0 on NaN and inf entries).
 
     With F = ||B||_F + sqrt(m) |z| >= ||A||_F and u = 2^-53, delta = m u F
     bounds the engine's own error, |sigma_hat - sigma_min(A)| <= p(m) u ||A||_2
@@ -595,17 +585,12 @@ def _exceeds(op, i, zs, tau):
     S = bands[:, first[i]:first[i] + m, :kd + 1].reshape(3, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the finite test
         norm = math.sqrt(S[0, ::kd + 1].real.sum())  # ||B||_F from the diagonal of B^H B
-        chunk = max(1, _BATCH_ENTRIES // (m * (kd + 1)))
-        for start in range(0, len(zs), chunk):
-            z = zs[start:start + chunk]
-            f = norm + math.sqrt(m) * np.abs(z)
-            c = (tau[start:start + chunk] + m * u * f) ** 2 + 8 * m * m * u * f * f
-            G = np.stack([np.ones(len(z)), -z, -z.conj()], 1) @ S
-            G[:, ::kd + 1] += (z.real ** 2 + z.imag ** 2 - c)[:, None]
-            L, info = zpbtrf(G.reshape(-1, kd + 1).T, lower=1, overwrite_ab=1)
-            if info or not np.isfinite(L).all():
-                return False
-    return True
+        f = norm + math.sqrt(m) * np.abs(zs)
+        c = (tau + m * u * f) ** 2 + 8 * m * m * u * f * f
+        G = np.stack([np.ones(len(zs)), -zs, -zs.conj()], 1) @ S
+        G[:, ::kd + 1] += (zs.real ** 2 + zs.imag ** 2 - c)[:, None]
+        L, info = zpbtrf(G.reshape(-1, kd + 1).T, lower=1, overwrite_ab=1)
+    return not info and bool(np.isfinite(L).all())
 
 
 def _engine(block, shifts):
@@ -614,7 +599,7 @@ def _engine(block, shifts):
     if sp.issparse(block):
         return "sparse"
     m = len(block)
-    return "schur" if m >= SCHUR_MIN_SIZE and shifts * m * m >= SCHUR_MIN_WORK else "dense"
+    return "schur" if m > 1 and shifts * m * m >= SCHUR_MIN_WORK else "dense"
 
 
 _ENGINES = {"sparse": _sigma_min_sparse, "schur": _sigma_min_schur, "dense": _sigma_min_dense}
@@ -755,8 +740,6 @@ def scaling_check(q, h, h2, degree, fraction=0.25):
     cut boundary cannot orphan a legitimate match.  Returns the maximal
     relative deviation over the trusted set.
     """
-    if h <= 0 or h2 <= 0:
-        raise ValueError("h and h2 must be positive")
     op1 = quantize_quadratic(q, HermiteTruncation(q.dim, degree, h))
     op2 = quantize_quadratic(q, HermiteTruncation(q.dim, degree, h2))
     count = max(1, int(op1.trunc.size * fraction))

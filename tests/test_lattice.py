@@ -252,6 +252,19 @@ def test_simplex_volume():
     assert dc.simplex_volume(spec, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("bad", [-0.1, -1.0, math.nan, math.inf, -math.inf])
+def test_radii_are_checked_as_lattice_points_checks_them(bad):
+    # simplex_volume's radius and strip_count's half-width take the check
+    # lattice_points makes of its radius: finite and >= 0, else DomainError
+    spec = two_mode_spectrum()
+    with pytest.raises(DomainError, match="radius"):
+        dc.lattice_points(spec, 0.1, bad)
+    with pytest.raises(DomainError, match="radius must be finite and >= 0"):
+        dc.simplex_volume(spec, bad)
+    with pytest.raises(DomainError, match="half-width r must be finite and >= 0"):
+        dc.strip_count(spec, 4.0, bad)
+
+
 def test_simplex_volume_monte_carlo_oracle():
     # frozen oracle: 10^6 uniform samples over [0,2]^2 hitting {2x1+2x2 <= 4}
     rng = np.random.default_rng(123)
@@ -507,6 +520,31 @@ def test_excluded_area_fraction_overlapping_discs():
     region = dc.RegionSpec.with_f_value(0.05, 10.0, 10.0, 2, inner_radius=0.15)
     frac = dc.excluded_area_fraction(region, spec, samples=200000, seed=1)
     assert abs(frac - monte_carlo_fraction(region, spec)) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["kfp.json", "family_beta.json"])
+def test_excluded_area_fraction_checks_samples(name):
+    # at h 0.05, C0 0.1047, C1 100 and no inner radius the discs overlap, so
+    # the fraction is a Monte Carlo mean: 0 or a negative count of samples
+    # is a DomainError (not the nan of an empty mean), as is a non-integer
+    # count, and one sample gives a plain 0 or 1 with no warning
+    import warnings
+
+    from dcspec.cli import parse_symbol_spec
+
+    q = parse_symbol_spec(name)
+    spec = dc.stable_eigenvalues(dc.hamilton_map(q))
+    region = dc.RegionSpec(h=0.05, C0=0.1047, C1=100.0, dim=q.dim, inner_radius=0.0)
+    r = region.exclusion_radius
+    pts = np.array(dc.exclusion_discs(region, spec))
+    assert (np.abs(pts[:, None] - pts[None]) < 2 * r).sum() > len(pts)  # overlapping
+    for samples in (0, -1, 2.5):
+        with pytest.raises(DomainError, match="samples must be an integer >= 1"):
+            dc.excluded_area_fraction(region, spec, samples=samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dc.excluded_area_fraction(region, spec, samples=1) in (0.0, 1.0)
+        assert 0 < dc.excluded_area_fraction(region, spec, samples=np.int64(1000)) < 1
 
 
 def test_excluded_area_fraction_monotone_in_c1(wedge):

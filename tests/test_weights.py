@@ -14,17 +14,6 @@ from dcspec.errors import DeltaTooLargeError, NumericalFailureError
 from conftest import family_form, kfp_form, multiset_defect, random_psd_real_form, seeded_form
 
 
-def test_j_profile_values():
-    assert dc.j_profile(-0.5) == -0.5
-    assert dc.j_profile(1.0) == 0.0
-    assert dc.j_profile(-2.0) == 0.0
-    assert dc.j_profile(-1.0) == 0.0
-    ts = np.linspace(-2, 1, 31)
-    vals = dc.j_profile(ts)
-    assert vals.shape == ts.shape
-    assert np.all(vals <= 0)
-
-
 def test_weight_trivial_flow(harmonic):
     for T in (0.5, 1.0, 3.0):
         w = dc.weight_gq(harmonic, T=T)

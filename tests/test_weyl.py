@@ -234,6 +234,14 @@ def test_spectral_scaling():
     assert dc.scaling_check(kfp_form(1.0), 0.5, 1.0, degree=24, fraction=0.1) <= 1e-6
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_scaling_check_rejects_bad_h_as_a_domain_error(bad):
+    # either parameter is checked where a truncation takes it
+    for h, h2 in [(bad, 0.1), (0.1, bad)]:
+        with pytest.raises(dc.DomainError, match="h must be positive and finite"):
+            dc.scaling_check(kfp_form(), h, h2, 8)
+
+
 def test_resolvent_norm_normal_case(harmonic):
     op = dc.quantize_quadratic(harmonic, dc.HermiteTruncation(1, 20, 0.1))
     assert dc.resolvent_norm(op, 0.2) == pytest.approx(10.0, rel=1e-10)
@@ -448,19 +456,85 @@ def test_resolvent_norm_array_at_schur_threshold_matches_scalar_calls():
 
 
 def test_engine_rule():
+    # k m^2 >= 5e5 is the one bound on a dense block of m >= 2, at every m:
     # probe-theorem calls (10 or 20 shifts, kfp shells of size <= 37) stay on
     # batched SVDs; the benchmark's pseudospectrum (1200 shifts, blocks 45
-    # to 51) takes the Schur engine; blocks above the cutoff stay sparse
-    from dcspec.weyl import DENSE_SVD_CUTOFF, SCHUR_MIN_SIZE, _engine
+    # to 51) takes the Schur engine; a 1 x 1 block keeps |b - z| at any
+    # count; blocks above the cutoff stay sparse
+    from dcspec.weyl import DENSE_SVD_CUTOFF, _engine
 
     def block(m):
         return np.zeros((m, m))
 
-    assert _engine(block(37), 20) == _engine(block(SCHUR_MIN_SIZE - 1), 10**6) == "dense"
+    assert _engine(block(1), 10**6) == _engine(block(37), 20) == "dense"
+    for m, k in [(2, 125000), (8, 7813), (19, 1386)]:  # k = ceil(5e5 / m^2)
+        assert _engine(block(m), k - 1) == "dense" and _engine(block(m), k) == "schur"
     assert _engine(block(45), 1200) == _engine(block(DENSE_SVD_CUTOFF), 42) == "schur"
     assert _engine(block(51), 192) == "dense" and _engine(block(51), 193) == "schur"
-    assert _engine(block(19), 10**6) == "dense" and _engine(block(20), 1250) == "schur"
+    assert _engine(block(20), 1249) == "dense" and _engine(block(20), 1250) == "schur"
     assert _engine(sp.identity(DENSE_SVD_CUTOFF + 1, format="csc"), 10**6) == "sparse"
+
+
+def _small_block(name):
+    """The first block of m rows of a bundled symbol's truncation, from
+    "symbol N h m"."""
+    name, N, h, m = name.split()
+    q = parse_symbol_spec(name + ".json")
+    op = dc.quantize_quadratic(q, dc.HermiteTruncation(q.dim, int(N), float(h)))
+    return next(b for idx, b in op.blocks if len(idx) == int(m))
+
+
+@pytest.mark.parametrize("name", [
+    "kfp 20 0.05 2", "kfp 20 0.05 8", "kfp 20 0.05 15", "kfp 20 0.05 19",  # degree shells
+    "davies 36 0.05 19",  # even parity block
+    "wedge_model 6 0.1 6", "wedge_model 6 0.1 10", "family_beta 5 0.1 12",  # d = 2 blocks
+])
+def test_schur_engine_matches_svds_on_small_blocks_at_the_work_bound(name):
+    # blocks below 20 rows reach the Schur engine from k = ceil(5e5 / m^2)
+    # shifts.  At that k, on shifts across the block's spectrum, it agrees
+    # with the dense engine's SVDs within the bound of
+    # test_schur_engine_matches_block_svds, m u ||B - z|| ||(B - z)^{-1}||,
+    # with m at least 20 (it is 49 to 151 there): both engines err by terms
+    # that do not shrink with m, and against a 40-digit SVD the SVD alone
+    # errs by up to 5.6 u ||B - z|| ||(B - z)^{-1}|| at m = 2, the Schur
+    # engine by up to 13 at m = 6 (wedge_model)
+    from dcspec.weyl import _engine, _sigma_min_schur
+
+    B = _small_block(name)
+    m = len(B)
+    k = math.ceil(5e5 / m**2)
+    assert 2 <= m < 20 and _engine(B, k - 1) == "dense" and _engine(B, k) == "schur"
+    ev = np.linalg.eigvals(B)
+    rng = np.random.default_rng(m)
+    zs = (rng.uniform(ev.real.min() - 0.5, ev.real.max() + 0.5, k)
+          + 1j * rng.uniform(ev.imag.min() - 0.5, ev.imag.max() + 0.5, k))
+    s = np.linalg.svd(B - zs[:, None, None] * np.eye(m), compute_uv=False)
+    want, cond = 1.0 / s[:, -1], s[:, 0] / s[:, -1]
+    got = 1.0 / _sigma_min_schur(B, zs)
+    assert np.all(np.abs(got - want) <= max(m, 20) * _U * cond * want)
+
+
+@pytest.mark.parametrize("m", [2, 21, 51, 110])
+def test_dense_engine_memory_is_linear_in_shifted_entries(m):
+    # the dense engine's one batched SVD call, at the most shifts the rule
+    # gives it (k m^2 just below 5e5), peaks at a few complex copies of the
+    # shifted matrices: 40 bytes per shifted entry, 20 MB at most
+    import tracemalloc
+
+    from dcspec.weyl import _engine, _sigma_min_dense
+
+    B = _random_block(m)
+    k = math.ceil(5e5 / m**2) - 1
+    assert _engine(B, k) == "dense" and _engine(B, k + 1) == "schur"
+    zs = np.random.default_rng(m).uniform(-3, 3, k) + 1j
+    tracemalloc.start()
+    try:
+        out = _sigma_min_dense(B, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (k,) and np.isfinite(out).all()
+    assert peak <= 40 * k * m * m
 
 
 def test_sigma_min_schur_small_and_degenerate_inputs():
@@ -696,8 +770,9 @@ def test_sigma_min_schur_memory_is_a_few_vector_blocks():
 
 def test_dense_engine_array_equals_scalar_calls_across_chunks():
     # wedge_model N = 20 (blocks 66, 55, 55, 55): 40 shifts stay on the
-    # dense engine and span 4 chunks of each 55-block (10 shifts each) and
-    # 6 of the 66-block (7 each); every value equals the per-block SVD of
+    # dense engine, one batched SVD call per block holding more shifted
+    # entries than a Lanczos vector block (_BATCH_ENTRIES, 10 shifts of a
+    # 55-block, 7 of the 66-block); every value equals the per-block SVD of
     # one shifted matrix and the scalar calls, bit for bit, sigma_min is
     # the smallest of the blocks' values, and eigenvalue shifts give the
     # infinity signal
@@ -767,7 +842,8 @@ def test_sigma_min_runs_a_block_that_ties_the_minimum(monkeypatch):
     # from z0 and X, the running minimum at z0 is X's value, which X^T ties
     # to the rounding of its SVD; at the other shifts, 100 away and within
     # 8 of the 1 x 1 block, X^T lies far above the minimum.  z0 comes last,
-    # in the certificate's second chunk of shifts.  A tie is within the
+    # after 2^15 // m^2 far shifts, all in the certificate's one stacked
+    # factorization.  A tie is within the
     # certificate's margins delta and kappa, so X^T takes its SVDs, and
     # sigma_min is the smallest of the engines' arrays bit for bit (without
     # the margins, about a quarter of these X^T would be skipped, and some
@@ -912,9 +988,10 @@ _CERTIFICATE_BLOCKS = {
 @pytest.mark.parametrize("name", list(_CERTIFICATE_BLOCKS))
 def test_exceeds_decides_as_the_svd_at_every_bandwidth(name):
     # the band certificate on blocks of bandwidth 1, between 1 and m - 1,
-    # and m - 1, at 10 shifts (one chunk) where sigma_min >= 1e-3 ||B - z||_F,
-    # so that the margins delta and kappa cannot decide: tau = 0.999 x the
-    # SVD value at every shift is certified, and tau = 1.000001 x it at only
+    # and m - 1, at 10 shifts in one stacked factorization, where sigma_min
+    # >= 1e-3 ||B - z||_F, so that the margins delta and kappa cannot
+    # decide: tau = 0.999 x the SVD value at every shift is certified, and
+    # tau = 1.000001 x it at only
     # the first or only the last shift, above the engine's value there, is
     # not: the stacked factorization leaks nothing across shifts.  The
     # symbols' blocks sit among their operator's other blocks
@@ -1536,7 +1613,6 @@ def test_pseudospectrum_grid_infinity_sentinel(harmonic):
 
 def test_energy_cutoff_and_degree_suggestion():
     tr = dc.HermiteTruncation(2, 30, 0.5)
-    assert tr.energy_cutoff == pytest.approx(0.5 * 32)
     assert tr.size == math.comb(32, 2)
     assert dc.suggested_degree(0.5, 0.05, 2) == max(24, math.ceil(2 * 0.5 * 2.0 / 0.05 - 2))
 
