@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._linalg import sym, frob
 from .errors import DomainError, NumericalFailureError, PreconditionError
@@ -131,6 +130,8 @@ def _flow_exponential(dim, coefficients, T):
     int_0^T (T - t) Phi exactly, up to the rounding of one expm.  A flow
     that overflows raises :class:`NumericalFailureError`, which is not cached.
     """
+    from scipy.linalg import expm
+
     A = np.frombuffer(coefficients, dtype=complex).reshape(2 * dim, 2 * dim)
     H = _minus_j(2.0 * A.imag)
     n = H.shape[0]
@@ -140,7 +141,7 @@ def _flow_exponential(dim, coefficients, T):
     C[:m, m] = A.real.ravel()
     C[m, m + 1] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        E = sla.expm(T * C)
+        E = expm(T * C)
         total = sym(E[:m, m].reshape(n, n))
         ramp = sym(E[:m, m + 1].reshape(n, n) / T)
     if not (np.isfinite(total).all() and np.isfinite(ramp).all()):

@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._linalg import sym, frob, symplectic_defect
 from .errors import DeltaTooLargeError, DomainError, NumericalFailureError
@@ -175,6 +174,8 @@ def canonical_normalizer(weight, delta):
     the entries of H_G^2 within its rounding error of 0 are taken as 0, so
     H_G^2 = 0 gives the normalizer 1 at every delta.
     """
+    from scipy.linalg import sqrtm
+
     _check_delta(delta)
     H = weight.hamilton_matrix
     n = H.shape[0]
@@ -189,7 +190,7 @@ def canonical_normalizer(weight, delta):
         T_op = np.eye(n) + float(delta) ** 2 * H2
     except OverflowError:
         raise NumericalFailureError(f"delta**2 overflows at delta = {delta}") from None
-    root = np.asarray(sla.sqrtm(T_op))
+    root = np.asarray(sqrtm(T_op))
     if np.iscomplexobj(root):
         # principal root of a real matrix with spectrum off (-inf, 0] is real
         root = root.real

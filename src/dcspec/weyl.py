@@ -10,7 +10,9 @@ always be compared across two truncation levels (``level_pair``, which
 assembles the finer one and takes the coarser as its leading submatrix).
 
 ``TruncatedWeylOperator.matrix`` is a scipy sparse CSC matrix (0.4% of its
-entries are nonzero for kfp at N = 36, basis size 703).  A quadratic symbol
+entries are nonzero for kfp at N = 36, basis size 703).  The functions that
+build or factor CSC matrices import scipy.sparse themselves, so it loads at
+the first quantization, not with the module.  A quadratic symbol
 moves the total degree |k| by -2, 0 or +2, so the matrix never couples the
 two parities of |k|, and a symbol without a_m a_l or a_m^+ a_l^+ terms
 (kfp) keeps |k| fixed: its matrix splits into the N + 1 degree shells.
@@ -108,7 +110,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._linalg import components
 from .errors import DomainError, NumericalFailureError
@@ -166,8 +167,8 @@ class HermiteTruncation:
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0):
             raise DomainError(f"h must be positive and finite, got {self.h}")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 0):
+            raise DomainError(f"degree must be an integer >= 0, got {self.degree}")
 
     @property
     def size(self):
@@ -185,7 +186,7 @@ class TruncatedWeylOperator:
     shifts, "lower bound"), as its docstring says."""
 
     trunc: HermiteTruncation
-    matrix: sp.csc_matrix = field(repr=False)
+    matrix: "scipy.sparse.csc_matrix" = field(repr=False)
     _sigma_memo: dict | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -200,6 +201,8 @@ class TruncatedWeylOperator:
         is a dense array, a larger one CSC with its whole diagonal stored.  Built
         on first use and kept.
         """
+        import scipy.sparse as sp
+
         M = self.matrix
         n = M.shape[0]
         col = np.repeat(np.arange(n), np.diff(M.indptr))
@@ -278,6 +281,8 @@ def quantize_quadratic(q, trunc):
     sqrt(k_l (k_m + 1)) |k + e_m - e_l>, and a_m^+ a_l^+ fills the
     transposed positions of a_m a_l: no extended basis is needed.
     """
+    import scipy.sparse as sp
+
     if q.dim != trunc.dim:
         raise ValueError("symbol and truncation dimensions differ")
     d, N = trunc.dim, trunc.degree
@@ -319,7 +324,7 @@ def spectrum_truncated(op, count):
         raise ValueError(f"count {count} exceeds basis size {op.trunc.size}")
     try:
         evals = np.concatenate([
-            np.linalg.eigvals(b.toarray() if sp.issparse(b) else b)
+            np.linalg.eigvals(b if isinstance(b, np.ndarray) else b.toarray())
             for _, b in op.blocks
         ])
     except np.linalg.LinAlgError as exc:
@@ -464,6 +469,7 @@ def _sigma_min_sparse(B, zs):
     """sigma_min(B - z) of a CSC block B that stores its whole diagonal, for
     a 1-D array of shifts: the "sparse" engine of the module docstring, a
     group's fill being SuperLU's ``nnz``.  An exactly singular factor gives 0."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     m = B.shape[0]
@@ -596,7 +602,7 @@ def _exceeds(op, i, zs, tau):
 def _engine(block, shifts):
     """The sigma_min engine of a block in a call with ``shifts`` shifts, by
     the one rule of the module docstring."""
-    if sp.issparse(block):
+    if not isinstance(block, np.ndarray):
         return "sparse"
     m = len(block)
     return "schur" if m > 1 and shifts * m * m >= SCHUR_MIN_WORK else "dense"
@@ -758,8 +764,14 @@ def suggested_degree(radius, h, dim, safety=2.0):
     at least MIN_DEGREE."""
     if not 0 < safety < math.inf:
         raise DomainError(f"safety must be positive and finite, got {safety}")
-    need = math.ceil(2.0 * radius * safety / h - dim)
-    return max(MIN_DEGREE, need)
+    if not 0 <= radius < math.inf:
+        raise DomainError(f"radius must be finite and >= 0, got {radius}")
+    if not 0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
+    cutoff = 2.0 * radius * safety / h
+    if cutoff == math.inf:
+        raise DomainError(f"the energy cutoff 2 radius safety / h overflows at radius {radius}, h {h}")
+    return max(MIN_DEGREE, math.ceil(cutoff - dim))
 
 
 def probe_theorem(q, h_values, C0, C1, inner_mult=3.0, samples=20, seed=0, safety=2.0):

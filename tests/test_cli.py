@@ -655,19 +655,59 @@ def test_cli_coarse_level_below_small_n(capsys):
 
 def test_cli_import_skips_scipy_optimize():
     # neither scipy.optimize nor the sparse solvers nor the block split's
-    # graph routines load with the CLI
+    # graph routines load with the CLI, nor any other scipy module: the
+    # library imports scipy in the functions that call it
     import subprocess
     import sys
 
     code = (
         "import sys, dcspec.cli; print([m in sys.modules for m in "
-        "('scipy.optimize', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')])"
+        "('scipy.optimize', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False]"
+    assert proc.stdout.splitlines() == ["[False, False, False]", "[]"]
+
+
+def test_cli_commands_load_scipy_only_when_they_call_it():
+    # spectrum and region never call scipy, so a process that runs them has
+    # loaded no scipy module; singular-space needs scipy.linalg's expm,
+    # which loads at its first call and leaves the command's output as it was
+    import subprocess
+    import sys
+
+    code = """
+import contextlib, io, json, sys
+from dcspec.cli import run
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for argv in (["spectrum", "--symbol", "harmonic.json", "--h", "0.1", "--radius", "1"],
+             ["region", "--symbol", "wedge_model.json", "--h", "0.05", "--C0", "0.1047",
+              "--C1", "10", "--inner", "0.15", "--res", "21"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    print(json.dumps([argv[0], scipy_modules()]))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert run(["singular-space", "--symbol", "kfp.json"]) == 0
+print(json.dumps(["singular-space", "scipy.linalg" in sys.modules, out.getvalue()]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        ["spectrum", []],
+        ["region", []],
+        ["singular-space", True,
+         '{"T": 1.0, "basis": [], "min_avg_eigenvalue": 0.03963225379802586, "s_dim": 0, '
+         '"tolerance": 1e-10}\n'],
+    ]
 
 
 def test_cli_pseudospectrum_grid_and_svg(tmp_path, capsys):

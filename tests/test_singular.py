@@ -207,17 +207,18 @@ def test_equivalence_randomized_family(rng):
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """Count scipy.linalg.expm calls, starting from an empty flow cache."""
+    """Count scipy.linalg.expm calls, starting from an empty flow cache;
+    the library looks the name up in scipy.linalg at each call."""
     from dcspec import singular
 
     calls = []
-    real_expm = singular.sla.expm
+    real_expm = sla.expm
 
     def counting(A):
         calls.append(A.shape)
         return real_expm(A)
 
-    monkeypatch.setattr(singular.sla, "expm", counting)
+    monkeypatch.setattr(sla, "expm", counting)
     singular._flow_exponential.cache_clear()
     return calls
 

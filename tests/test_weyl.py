@@ -1617,6 +1617,33 @@ def test_energy_cutoff_and_degree_suggestion():
     assert dc.suggested_degree(0.5, 0.05, 2) == max(24, math.ceil(2 * 0.5 * 2.0 / 0.05 - 2))
 
 
+@pytest.mark.parametrize("degree", [-1, 2.5, math.nan])
+def test_truncation_degree_must_be_a_nonnegative_integer(degree):
+    # a float degree would build the operator of a smaller basis than .size says
+    with pytest.raises(dc.DomainError, match="degree"):
+        dc.HermiteTruncation(1, degree, 0.1)
+
+
+def test_truncation_degree_accepts_numpy_integers():
+    tr = dc.HermiteTruncation(1, np.int64(3), 0.1)
+    assert tr.size == 4
+    assert dc.quantize_quadratic(davies_form(1.0), tr).matrix.shape == (4, 4)
+
+
+@pytest.mark.parametrize("radius, h", [
+    (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
+    (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
+    (1e308, 1e-10),  # finite inputs whose energy cutoff overflows
+])
+def test_suggested_degree_rejects_bad_radius_and_h(radius, h):
+    with pytest.raises(dc.DomainError):
+        dc.suggested_degree(radius, h, 2)
+
+
+def test_suggested_degree_at_zero_radius_is_the_floor():
+    assert dc.suggested_degree(0.0, 0.1, 2) == 24
+
+
 def mp_galerkin_blocks(q, N, h):
     """The Galerkin matrix at 30 digits from exact ladder elements, per parity.
 
